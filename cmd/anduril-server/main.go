@@ -126,7 +126,18 @@ func run(args []string, stderr io.Writer, stop <-chan struct{}) int {
 		fmt.Fprintf(stderr, "anduril-server: %v\n", err)
 		return exitRuntime
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	// Bound how long a client may hold a connection while sending a
+	// request or sitting idle. ReadTimeout does not cut the long-lived
+	// ?follow=1 trace streams: net/http lifts the read deadline once a
+	// body-less request is read (TestHTTPTraceFollowOutlivesReadTimeout).
+	// There is deliberately no WriteTimeout: it would cut those streams,
+	// which write for as long as a search runs.
+	httpSrv := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logf("anduril-server: serving on %s (journal: %s)", ln.Addr(), c.dataDir)

@@ -34,8 +34,12 @@ type instance struct {
 	// memberPos holds each member's own aligned position for pair
 	// instances (both equal to alignedPos otherwise, unused): temporal
 	// ranking scores a pair by how close each fault lands to a relevant
-	// observable, not just where the combined effect completes.
+	// observable, not just where the combined effect completes. pairT is
+	// that score, nearestObs(memberPos[0]) + nearestObs(memberPos[1]),
+	// computed once at setup: it depends only on the observables, which
+	// are fixed for the whole search.
 	memberPos [2]float64
+	pairT     float64
 }
 
 // triedSet tracks which occurrences of a site have been injected. It is a

@@ -18,6 +18,7 @@ import (
 	"anduril/internal/core"
 	"anduril/internal/failures"
 	"anduril/internal/inject"
+	"anduril/internal/parallel"
 	"anduril/internal/trace"
 )
 
@@ -118,6 +119,56 @@ func TestPairTraceDeterministic(t *testing.T) {
 		b := pairTrace(t, id)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("%s: two runs produced different traces", id)
+		}
+	}
+}
+
+// TestPairTemporalDistanceFixedAtSetup: every pair instance's temporal
+// distance, stored once at setup, equals the member-wise nearest-observable
+// sum recomputed from the observables.
+func TestPairTemporalDistanceFixedAtSetup(t *testing.T) {
+	for _, id := range pairIDs {
+		stored, recomputed, err := core.PairTemporalDistances(target(t, id), core.Options{Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if len(stored) == 0 {
+			t.Fatalf("%s: setup enumerated no pair instances", id)
+		}
+		for i := range stored {
+			if stored[i] != recomputed[i] {
+				t.Fatalf("%s: pair instance %d stores T=%v, members sum to %v", id, i, stored[i], recomputed[i])
+			}
+		}
+	}
+}
+
+// TestConcurrentDynSearchesMatchSerial: dyn searches running concurrently
+// share immutable rings; their canonical reports must equal a serial
+// run's byte for byte (run under -race in CI).
+func TestConcurrentDynSearchesMatchSerial(t *testing.T) {
+	ids := []string{"f26", "f29", "f30"}
+	tgts := make([]*core.Target, len(ids))
+	for i, id := range ids {
+		tgts[i] = target(t, id)
+	}
+	canonical := func(workers int) [][]byte {
+		out, err := parallel.Map(workers, tgts, func(_ int, tgt *core.Target) ([]byte, error) {
+			rep := core.Reproduce(tgt, core.Options{Seed: 1})
+			if !rep.Reproduced {
+				return nil, fmt.Errorf("%s not reproduced in %d rounds", tgt.ID, rep.Rounds)
+			}
+			return core.CanonicalReport(rep)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	serial, concurrent := canonical(1), canonical(len(ids))
+	for i, id := range ids {
+		if !bytes.Equal(serial[i], concurrent[i]) {
+			t.Errorf("%s: concurrent canonical report differs from the serial run", id)
 		}
 	}
 }

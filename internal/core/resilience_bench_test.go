@@ -13,14 +13,14 @@ import (
 	"anduril/internal/core"
 )
 
-func benchReproduce(b *testing.B, optFor func(i int) core.Options) {
+func benchReproduce(b *testing.B, id string, optFor func(i int) core.Options) {
 	b.Helper()
-	tgt := target(b, "f4")
+	tgt := target(b, id)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep := core.Reproduce(tgt, optFor(i))
 		if !rep.Reproduced {
-			b.Fatalf("f4 not reproduced: %+v", rep)
+			b.Fatalf("%s not reproduced: %+v", id, rep)
 		}
 	}
 }
@@ -30,13 +30,13 @@ func BenchmarkReproduce(b *testing.B) {
 		// No checkpoint path configured: maybeCheckpoint is a string
 		// compare per round, and the recover wrappers are the only
 		// resilience cost on this path.
-		benchReproduce(b, func(int) core.Options {
+		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60}
 		})
 	})
 	b.Run("checkpoint-every-round", func(b *testing.B) {
 		dir := b.TempDir()
-		benchReproduce(b, func(i int) core.Options {
+		benchReproduce(b, "f4", func(i int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
 				Checkpoint:      filepath.Join(dir, "bench.ck.json"),
@@ -50,7 +50,7 @@ func BenchmarkReproduce(b *testing.B) {
 		// per-site byPath index). Recorded in BENCH_core_addressing.json;
 		// the baseline variant above is the proof that none of it is paid
 		// in the default mode.
-		benchReproduce(b, func(int) core.Options {
+		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
 				Addressing: core.AddrPath,
@@ -63,11 +63,20 @@ func BenchmarkReproduce(b *testing.B) {
 		// recording) on a search that still concludes in the site class.
 		// Recorded in BENCH_core_partial.json; the baseline variant above
 		// is the proof that none of it is paid in the default mode.
-		benchReproduce(b, func(int) core.Options {
+		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
 				FaultClasses: []string{core.ClassSite, core.ClassPartial},
 			}
+		})
+	})
+	b.Run("heavy-f30", func(b *testing.B) {
+		// The heaviest search in the dataset: f30's 447-round pair search
+		// under default options, where per-round cost (pair ranking, dyn
+		// ring routing, the anti-entropy audit) dominates instead of the
+		// free run and setup. Recorded in BENCH_core_hotpath.json.
+		benchReproduce(b, "f30", func(int) core.Options {
+			return core.Options{Seed: 1}
 		})
 	})
 }

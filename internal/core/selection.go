@@ -27,7 +27,7 @@ func (e *engine) temporalDistance(s *siteState, inst instance) float64 {
 		return inst.alignedPos
 	}
 	if s.isPair {
-		return e.nearestObs(inst.memberPos[0]) + e.nearestObs(inst.memberPos[1])
+		return inst.pairT
 	}
 	best := math.Inf(1)
 	for _, p := range e.obs[s.bestObs].positions {

@@ -31,9 +31,10 @@ func (e *engine) flatten(entries []logging.Entry) []logging.Entry {
 // joins one member instance from each side — all cross combinations for
 // distinct members, unordered combinations (occ a < occ b) for a
 // self-pair — positioned on the timeline at the later member: the
-// combined effect completes only when the second fault lands. Returns
-// nil when no instance combination exists.
-func pairSite(sa, sb *siteState) *siteState {
+// combined effect completes only when the second fault lands. Each pair
+// instance carries its temporal distance, the sum of its members'
+// nearestObs distances. Returns nil when no instance combination exists.
+func (e *engine) pairSite(sa, sb *siteState) *siteState {
 	st := &siteState{
 		id:          inject.PairSiteID(sa.id, sb.id),
 		isPair:      true,
@@ -72,6 +73,7 @@ func pairSite(sa, sb *siteState) *siteState {
 			st.instances = append(st.instances, instance{
 				occ: pi.Occurrence, logPos: logPos, alignedPos: alignedPos,
 				memberPos: [2]float64{a.alignedPos, b.alignedPos},
+				pairT:     e.nearestObs(a.alignedPos) + e.nearestObs(b.alignedPos),
 			})
 		}
 	}
@@ -246,7 +248,7 @@ func (e *engine) setup(free *cluster.Result) {
 				if inject.IsEnvSite(sa.id) && inject.IsEnvSite(sb.id) {
 					continue
 				}
-				if st := pairSite(sa, sb); st != nil {
+				if st := e.pairSite(sa, sb); st != nil {
 					e.sites = append(e.sites, st)
 					total += len(st.instances)
 				}

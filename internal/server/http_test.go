@@ -115,6 +115,27 @@ func TestHTTPSubmitRunReport(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitBodyTooLarge: a spec body over the 1 MiB bound is refused
+// with 413 and admits no job.
+func TestHTTPSubmitBodyTooLarge(t *testing.T) {
+	s := newServer(t, Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	body := `{"failure":"` + strings.Repeat("x", 2<<20) + `"}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB POST = %d, want 413", resp.StatusCode)
+	}
+	if jobs := s.Jobs(); len(jobs) != 0 {
+		t.Fatalf("oversized POST admitted %d jobs", len(jobs))
+	}
+}
+
 func TestHTTPErrorStatuses(t *testing.T) {
 	s := newServer(t, Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -189,6 +210,19 @@ func TestHTTPOverloadRetryAfter(t *testing.T) {
 // emits it — no gaps, no duplicates — and the stream ends when the job
 // finishes.
 func TestHTTPTraceFollowStreamsLive(t *testing.T) {
+	testTraceFollow(t, 0, 0)
+}
+
+// A follow stream outlives the server's ReadTimeout: it ends only when
+// the job finishes, not when the request's read deadline passes.
+func TestHTTPTraceFollowOutlivesReadTimeout(t *testing.T) {
+	testTraceFollow(t, 100*time.Millisecond, 500*time.Millisecond)
+}
+
+// testTraceFollow follows a live job's trace on a server with the given
+// ReadTimeout (0 = none), holding the job for hold after the snapshot is
+// read, and checks the stream carries every event and then ends.
+func testTraceFollow(t *testing.T, readTimeout, hold time.Duration) {
 	s := newServer(t, Config{Workers: 1})
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -203,7 +237,9 @@ func TestHTTPTraceFollowStreamsLive(t *testing.T) {
 		opts.Trace.Emit(&ev3)
 		return &core.Report{Target: sp.Failure, Reproduced: true, Rounds: 1}, nil
 	}
-	ts := httptest.NewServer(s.Handler())
+	ts := httptest.NewUnstartedServer(s.Handler())
+	ts.Config.ReadTimeout = readTimeout
+	ts.Start()
 	defer ts.Close()
 
 	_, sr := postSpec(t, ts.URL, Spec{Failure: "f4"})
@@ -242,6 +278,7 @@ func TestHTTPTraceFollowStreamsLive(t *testing.T) {
 	if got, want := readLine(), string(encodeLine(ev1)); got != want {
 		t.Fatalf("snapshot line = %q, want %q", got, want)
 	}
+	time.Sleep(hold)
 	close(release)
 	if got, want := readLine(), string(encodeLine(ev2)); got != want {
 		t.Fatalf("live line = %q, want %q", got, want)

@@ -1,8 +1,6 @@
 package dyn
 
 import (
-	"sort"
-
 	"anduril/internal/cluster"
 	"anduril/internal/des"
 )
@@ -34,14 +32,10 @@ func (c *Cluster) startAudit() {
 	env := c.env
 	env.Sim.Every("dyn-audit", auditPeriod, func() {
 		ring := c.latestRing()
+		// Only the count of divergent keys is observed, and it does not
+		// depend on the order the keys are visited in.
 		divergent := 0
-		keys := make([]string, 0, len(c.expected))
-		for key := range c.expected {
-			keys = append(keys, key)
-		}
-		sort.Strings(keys)
-		for _, key := range keys {
-			want := c.expected[key]
+		for key, want := range c.expected {
 			for _, owner := range ring.PreferenceList(key, c.cfg.N) {
 				set := c.byName[owner].store[key]
 				if want == tombSentinel {

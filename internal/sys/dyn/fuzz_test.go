@@ -106,5 +106,8 @@ func FuzzDynOps(f *testing.F) {
 		if c.Tracked && !c.Converged {
 			t.Fatalf("replicas did not converge after heal:\n%s", res.RenderLog())
 		}
+		if n := ringCacheLen(); n > ringCacheCap {
+			t.Fatalf("shared-ring table holds %d rings, cap %d", n, ringCacheCap)
+		}
 	})
 }
