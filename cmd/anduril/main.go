@@ -31,6 +31,7 @@ import (
 
 	"anduril"
 	"anduril/internal/core"
+	"anduril/internal/inject"
 	"anduril/internal/trace"
 )
 
@@ -109,7 +110,7 @@ func main() {
 		for _, c := range strings.Split(*classes, ",") {
 			c = strings.TrimSpace(c)
 			if !anduril.ValidFaultClass(c) {
-				usageErr("-fault-classes: unknown class %q (valid: %s, %s, %s, %s)", c, anduril.ClassSite, anduril.ClassEnv, anduril.ClassPair, anduril.ClassPartial)
+				usageErr("-fault-classes: unknown class %q (valid: %s)", c, strings.Join(inject.ClassNames(), ", "))
 			}
 			faultClasses = append(faultClasses, c)
 		}

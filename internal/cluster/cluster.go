@@ -99,9 +99,10 @@ func NewEnv(seed int64, plan inject.Plan) *Env {
 	fi.Now = sim.Now
 	fi.PathID = sim.CurPath
 	fi.PathPrefix = sim.PathString
-	if inject.PlanCarriesPath(plan) {
+	if fi.PathActive() {
 		// Replaying a path-addressed script needs no flag, mirroring the
-		// env auto-enable: the plan itself proves paths are required.
+		// pseudo-site class auto-enable: the runtime found path-addressed
+		// candidates in the plan itself.
 		sim.EnablePathTracking()
 	}
 	net := simnet.New(sim, fi, lg, des.Millisecond, 4*des.Millisecond)
@@ -115,33 +116,21 @@ func NewEnv(seed int64, plan inject.Plan) *Env {
 // parameters.
 type ExecOption func(*Env)
 
-// WithEnvFaults opts the round into environment pseudo-sites: the
-// network counts (and can inject at) crash/partition/drop/delay
+// WithFaultClasses opts the round into the given classes'
+// pseudo-sites: the network and disk count (and can inject at) their
 // instances. Off by default so site-only rounds keep byte-identical
-// traces; plans that already carry env instances enable counting on
-// their own (see inject.PlanCarriesEnv), so this option matters for
-// free runs and mixed windows.
-func WithEnvFaults() ExecOption {
-	return func(e *Env) { e.FI.EnvEnabled = true }
-}
-
-// WithPartialFaults opts the round into partial-failure pseudo-sites:
-// the disk and network count (and can inject at) short-write,
-// enospc-after, torn-rename, eintr and dup-deliver instances. Off by
-// default so rounds without the partial class keep byte-identical
-// traces; plans that already carry partial instances enable counting on
-// their own (see inject.PlanCarriesPartial), so this option matters for
-// free runs and mixed windows.
-func WithPartialFaults() ExecOption {
-	return func(e *Env) { e.FI.PartialEnabled = true }
+// traces; plans that already carry pseudo-site instances enable their
+// classes on their own (see inject.Runtime.Enable), so this option
+// matters for free runs and mixed windows.
+func WithFaultClasses(s inject.ClassSet) ExecOption {
+	return func(e *Env) { e.FI.Enable(s) }
 }
 
 // WithPathAddressing opts the round into path-sensitive injection
 // addressing: the kernel tracks the distributed call tree, and every
 // reach is assigned a canonical PathAddr string (inject.TraceEvent.Path).
 // Off by default so occurrence-mode rounds do no path bookkeeping; plans
-// that already carry path-addressed instances enable it on their own
-// (see inject.PlanCarriesPath).
+// that already carry path-addressed instances enable it on their own.
 func WithPathAddressing() ExecOption {
 	return func(e *Env) {
 		e.Sim.EnablePathTracking()

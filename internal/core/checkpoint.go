@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"anduril/internal/checkpoint"
+	"anduril/internal/inject"
 )
 
 // searchKind and searchVersion identify the explorer checkpoint envelope.
@@ -126,12 +127,12 @@ func (e *engine) snapshotState(round, window int) *searchState {
 		Target: e.t.ID, Strategy: e.o.Strategy, Seed: e.o.Seed,
 		Round: round, Window: window,
 		ObsCount:     len(e.obs),
-		FaultClasses: e.classList(),
+		FaultClasses: e.classes.Names(),
 		Priorities:   make([]int, len(e.obs)),
 		Tried:        map[string][]int{},
 		Report:       &rep,
 	}
-	if len(st.FaultClasses) == 1 && st.FaultClasses[0] == ClassSite {
+	if e.classes == inject.ParseClasses(nil) {
 		st.FaultClasses = nil // canonical site-only form, compatible with pre-env checkpoints
 	}
 	if e.o.Addressing != AddrOccurrence {
@@ -189,8 +190,9 @@ func (st *searchState) validate(t *Target, opts Options) error {
 		return fmt.Errorf("core: checkpoint used strategy %q, resuming with %q", st.Strategy, opts.Strategy)
 	case st.Seed != opts.Seed:
 		return fmt.Errorf("core: checkpoint used seed %d, resuming with %d", st.Seed, opts.Seed)
-	case !st.classesMatch(t, opts):
-		return fmt.Errorf("core: checkpoint searched fault classes %v, resuming run resolves differently", st.classNames())
+	case inject.ParseClasses(st.FaultClasses) != resolveClasses(t, opts):
+		return fmt.Errorf("core: checkpoint searched fault classes %v, resuming run resolves differently",
+			inject.ParseClasses(st.FaultClasses).Names())
 	case st.addressing() != opts.Addressing:
 		return fmt.Errorf("core: checkpoint used %s addressing, resuming with %s", st.addressing(), opts.Addressing)
 	case st.Round < 1:
@@ -212,37 +214,6 @@ func (st *searchState) addressing() Addressing {
 		return AddrOccurrence
 	}
 	return Addressing(st.Addressing)
-}
-
-// classesMatch reports whether the checkpoint's recorded fault classes
-// (nil = site-only, the pre-env form) equal the resuming run's
-// resolution: a site-only checkpoint resumed with env enumeration (or
-// vice versa) would silently search a different space.
-func (st *searchState) classesMatch(t *Target, opts Options) bool {
-	site, env, pair, partial := resolveClasses(t, opts)
-	ckSite, ckEnv, ckPair, ckPartial := st.FaultClasses == nil, false, false, false
-	for _, c := range st.FaultClasses {
-		switch c {
-		case ClassSite:
-			ckSite = true
-		case ClassEnv:
-			ckEnv = true
-		case ClassPair:
-			ckPair = true
-		case ClassPartial:
-			ckPartial = true
-		}
-	}
-	return site == ckSite && env == ckEnv && pair == ckPair && partial == ckPartial
-}
-
-// classNames renders the recorded classes for error messages, expanding
-// the canonical nil form.
-func (st *searchState) classNames() []string {
-	if st.FaultClasses == nil {
-		return []string{ClassSite}
-	}
-	return st.FaultClasses
 }
 
 // applyState restores the checkpointed search state onto a prepared

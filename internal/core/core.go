@@ -156,12 +156,6 @@ type Options struct {
 	FixedWindow     bool // never double the window on empty rounds
 	GlobalDiff      bool // diff logs globally instead of per thread
 
-	// NaiveRanking disables the incremental priority index and re-scores
-	// every site with a full re-sort each round — the paper's algorithm as
-	// literally written. Both rankers produce the identical (F_i, site id)
-	// order; this knob exists for the equivalence tests and benchmarks.
-	NaiveRanking bool
-
 	// Checkpoint, when non-empty, is a file path the engine atomically
 	// writes its search state to every CheckpointEvery rounds, so a killed
 	// search can continue via Resume. "" (the default) disables
@@ -288,7 +282,7 @@ type Report struct {
 	// delivery, eintr) rather than an error-return site.
 	PartialRooted bool `json:",omitempty"`
 	RoundLog      []Round
-	Elapsed   time.Duration
+	Elapsed       time.Duration
 
 	RelevantObservables int
 	CandidateSites      int

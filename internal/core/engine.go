@@ -90,28 +90,32 @@ func (t *triedSet) Occurrences() []int {
 // siteState is the explorer's view of one static fault site f_i.
 type siteState struct {
 	id        string
+	class     inject.Class
+	kind      inject.Pseudo // pseudo-fault kind (env and partial sites only)
 	instances []instance
 	tried     triedSet
 
-	// marker is the sanitized injection-marker line for env and partial
-	// pseudo-sites ("" otherwise): an observable equal to it is direct
-	// failure-log evidence for this site, scored with envDistMatched
-	// (partialDistMatched for partial sites).
-	marker string
+	// dists are the site's causal-graph distances, template -> L
+	// (error-return sites only).
+	dists map[string]int
+
+	// The decoded pseudo-site (env and partial sites only): subject and
+	// peer feed the injection trace, and marker is the kind's sanitized
+	// injection-marker line — an observable equal to it is direct
+	// failure-log evidence for this site, scored markerMatchedDist.
+	subject, peer string
+	marker        string
 
 	// byPath maps canonical path strings to free-run occurrence identity
 	// (path addressing only): an injection run's reach is matched by path,
 	// and its tried-set entry is the free-run instance that path names.
 	byPath map[string]int
 
-	// Pair pseudo-site state (isPair set): the two member site IDs (sorted,
-	// equal for a self-pair), the members' env markers for marker-matched
-	// scoring ("" for error-return members), and the full pair Instance per
-	// enumerated instance, parallel to instances.
-	isPair      bool
-	pairSites   [2]string
-	pairMarkers [2]string
-	pairInsts   []inject.Instance
+	// Pair pseudo-site state: the two member sites (sorted, equal for a
+	// self-pair) and the full pair Instance per enumerated instance,
+	// parallel to instances.
+	members   [2]*siteState
+	pairInsts []inject.Instance
 
 	f       float64 // current priority F_i (smaller = higher priority)
 	bestObs int     // index of the observable realizing F_i
@@ -136,7 +140,6 @@ type engine struct {
 	obs       []*observable
 	sites     []*siteState
 	siteIndex map[string]*siteState // id -> state, for O(1) markTried
-	dist      map[string]map[string]int
 	align     *logdiff.Alignment
 
 	sumBest map[string]float64 // sum-aggregation ablation bookkeeping
@@ -161,15 +164,18 @@ type engine struct {
 	freeRes *cluster.Result
 
 	// Enabled fault classes, resolved from Options/Target (site-only by
-	// default). instSite counts the site-class candidate instances and
-	// triedSite how many are tried, so the window logic can tell when the
-	// site-class space is saturated and env candidates may enter.
-	siteClass    bool
-	envClass     bool
-	pairClass    bool
-	partialClass bool
-	instSite     int
-	triedSite    int
+	// default), and the cluster options every trial runs under. instSite
+	// counts the site-class candidate instances and triedSite how many
+	// are tried, so the window logic can tell when the site-class space
+	// is saturated and later classes' candidates may enter.
+	classes   inject.ClassSet
+	execOpts  []cluster.ExecOption
+	instSite  int
+	triedSite int
+
+	// rankerFor, when set, builds the run's ranker in place of the
+	// incremental index: the reference ranker of the equivalence tests.
+	rankerFor func(e *engine, useFeedback bool) ranker
 
 	// pairWindow is the pair-round candidate list the current round armed,
 	// indexed like the PairPlan's rank order; tryOnce maps the plan's
@@ -189,37 +195,26 @@ func newEngine(t *Target, o Options) *engine {
 	e := &engine{t: t, o: o, ctx: o.Context, report: &Report{
 		Target: t.ID, Issue: t.Issue, Strategy: o.Strategy,
 	}}
-	e.siteClass, e.envClass, e.pairClass, e.partialClass = resolveClasses(t, o)
+	e.classes = resolveClasses(t, o)
+	e.execOpts = []cluster.ExecOption{cluster.WithFaultClasses(e.classes)}
+	if o.Addressing == AddrPath {
+		e.execOpts = append(e.execOpts, cluster.WithPathAddressing())
+	}
 	return e
 }
 
 // resolveClasses resolves the enabled fault classes from Options (which
 // wins when set) or the Target, defaulting to site-only. Unknown names
 // are ignored here; callers validate with ValidFaultClass up front.
-func resolveClasses(t *Target, o Options) (site, env, pair, partial bool) {
-	classes := o.FaultClasses
-	if classes == nil {
-		classes = t.FaultClasses
+func resolveClasses(t *Target, o Options) inject.ClassSet {
+	if o.FaultClasses != nil {
+		return inject.ParseClasses(o.FaultClasses)
 	}
-	if classes == nil {
-		return true, false, false, false
-	}
-	for _, c := range classes {
-		switch c {
-		case ClassSite:
-			site = true
-		case ClassEnv:
-			env = true
-		case ClassPair:
-			pair = true
-		case ClassPartial:
-			partial = true
-		}
-	}
-	return site, env, pair, partial
+	return inject.ParseClasses(t.FaultClasses)
 }
 
-// Fault-class names for Options.FaultClasses / Target.FaultClasses.
+// Fault-class names for Options.FaultClasses / Target.FaultClasses, as
+// the inject class table spells them.
 const (
 	ClassSite    = "site"
 	ClassEnv     = "env"
@@ -230,26 +225,8 @@ const (
 // ValidFaultClass reports whether a class name is recognized (for CLI
 // validation).
 func ValidFaultClass(c string) bool {
-	return c == ClassSite || c == ClassEnv || c == ClassPair || c == ClassPartial
-}
-
-// classList renders the engine's resolved fault classes canonically
-// (for the checkpoint envelope): alphabetical, matching classNames.
-func (e *engine) classList() []string {
-	var out []string
-	if e.envClass {
-		out = append(out, ClassEnv)
-	}
-	if e.pairClass {
-		out = append(out, ClassPair)
-	}
-	if e.partialClass {
-		out = append(out, ClassPartial)
-	}
-	if e.siteClass {
-		out = append(out, ClassSite)
-	}
-	return out
+	_, ok := inject.ClassByName(c)
+	return ok
 }
 
 // retrySeedOffset derives the retry seed of a failed trial: far outside
@@ -268,31 +245,49 @@ func (e *engine) emit(ev *trace.Event) { e.o.Trace.Emit(ev) }
 // obsLabel renders an observable's identity for trace events.
 func obsLabel(o *observable) string { return o.key.Thread + ": " + o.key.Msg }
 
-// traceInjected records the reach at which a round's fault fired. An
-// environment injection is a distinct event type carrying the decoded
-// class, subject node(s) and virtual-time duration; a pair injection
-// carries its two decoded member instances.
+// injectedTypes maps each fault class to its injection event type.
+var injectedTypes = [inject.NumClasses]trace.EventType{
+	inject.ClassSite:    trace.Injected,
+	inject.ClassEnv:     trace.EnvInjected,
+	inject.ClassPartial: trace.PartialInjected,
+	inject.ClassPair:    trace.PairInjected,
+}
+
+// classify returns the class and decoded pseudo-site of an injected
+// site: read off the candidate state, or decoded from the ID for sites
+// outside the candidate set (the baselines enumerate every free-run
+// site).
+func (e *engine) classify(site string) (inject.Class, inject.PseudoFault) {
+	if s, ok := e.siteIndex[site]; ok {
+		return s.class, inject.PseudoFault{Pseudo: s.kind, Subject: s.subject, Peer: s.peer}
+	}
+	if f, ok := inject.ParsePseudoSite(site); ok {
+		return f.Pseudo.Class(), f
+	}
+	return inject.ClassOf(site), inject.PseudoFault{}
+}
+
+// traceInjected records the reach at which a round's fault fired. Each
+// class has its own event type: env and partial injections carry the
+// decoded kind, subject node(s) and (env) virtual-time duration; a pair
+// injection carries its two decoded member instances.
 func (e *engine) traceInjected(round int, inst inject.Instance, satisfied bool) {
 	if !e.tracing() {
 		return
 	}
+	class, f := e.classify(inst.Site)
 	ev := &trace.Event{
-		Type: trace.Injected, Round: round,
+		Type: injectedTypes[class], Round: round,
 		Site: inst.Site, Occ: inst.Occurrence, Path: inst.Path, Satisfied: satisfied,
 	}
-	if f, ok := inject.ParseEnvSite(inst.Site); ok {
-		ev.Type = trace.EnvInjected
-		ev.Class = string(f.Class)
+	switch class {
+	case inject.ClassEnv, inject.ClassPartial:
+		ev.Class = f.Pseudo.Name()
 		ev.Subject = f.Subject
 		ev.Peer = f.Peer
-		ev.Dur = int64(f.Duration)
-	} else if f, ok := inject.ParsePartialSite(inst.Site); ok {
-		ev.Type = trace.PartialInjected
-		ev.Class = string(f.Class)
-		ev.Subject = f.Subject
-		ev.Peer = f.Peer
-	} else if a, b, ok := inject.PairMembers(inst); ok {
-		ev.Type = trace.PairInjected
+		ev.Dur = int64(f.Pseudo.Duration())
+	case inject.ClassPair:
+		a, b, _ := inject.PairMembers(inst)
 		ev.Path = "" // the member list already carries the references
 		ev.Members = []trace.Candidate{
 			{Site: a.Site, Occ: a.Occurrence, Path: a.Path},
@@ -425,8 +420,9 @@ func (e *engine) explore() {
 func (e *engine) finish(start time.Time) {
 	e.report.Elapsed += time.Since(start)
 	if e.report.Script != nil {
-		e.report.EnvRooted = inject.IsEnvSite(e.report.Script.Site)
-		e.report.PartialRooted = inject.IsPartialSite(e.report.Script.Site)
+		class, _ := e.classify(e.report.Script.Site)
+		e.report.EnvRooted = class == inject.ClassEnv
+		e.report.PartialRooted = class == inject.ClassPartial
 	}
 	if e.report.Interrupted {
 		return
@@ -465,17 +461,7 @@ func (e *engine) trial(seed int64, plan inject.Plan, keepTrace bool) (*cluster.R
 	if budget < 0 {
 		budget = 0 // negative means unlimited
 	}
-	var opts []cluster.ExecOption
-	if e.envClass {
-		opts = append(opts, cluster.WithEnvFaults())
-	}
-	if e.partialClass {
-		opts = append(opts, cluster.WithPartialFaults())
-	}
-	if e.o.Addressing == AddrPath {
-		opts = append(opts, cluster.WithPathAddressing())
-	}
-	return cluster.TryExecute(e.ctx, seed, plan, keepTrace, e.t.Workload, e.t.Horizon, budget, opts...)
+	return cluster.TryExecute(e.ctx, seed, plan, keepTrace, e.t.Workload, e.t.Horizon, budget, e.execOpts...)
 }
 
 // interrupted reports whether the search must stop before starting the
@@ -630,7 +616,7 @@ func (e *engine) markTried(inst inject.Instance) {
 		return
 	}
 	occ := inst.Occurrence
-	if inst.Path != "" && !inject.IsPairSite(inst.Site) {
+	if inst.Path != "" && s.class != inject.ClassPair {
 		// A path-addressed injection reports the run-local occurrence of
 		// the reach; the tried set is keyed by the free-run identity, so
 		// resolve the canonical path back through the site's path index.
@@ -641,7 +627,7 @@ func (e *engine) markTried(inst inject.Instance) {
 	if !s.tried.Add(occ) {
 		return
 	}
-	if !inject.IsEnvSite(inst.Site) && !inject.IsPairSite(inst.Site) && !inject.IsPartialSite(inst.Site) {
+	if s.class == inject.ClassSite {
 		e.triedSite++
 	}
 }

@@ -1,5 +1,17 @@
 package core
 
+import "anduril/internal/inject"
+
+// ReproduceNaiveRanking is Reproduce with the naive reference ranker in
+// place of the incremental priority index.
+func ReproduceNaiveRanking(t *Target, opts Options) *Report {
+	e := newEngine(t, opts.withDefaults())
+	e.rankerFor = func(e *engine, useFeedback bool) ranker {
+		return &naiveRanker{e: e, useFeedback: useFeedback}
+	}
+	return e.run()
+}
+
 // PairTemporalDistances runs the free run and setup of t under opts and
 // returns, for every pair instance in enumeration order, the temporal
 // distance stored at setup beside the member-wise sum
@@ -11,7 +23,7 @@ func PairTemporalDistances(t *Target, opts Options) (stored, recomputed []float6
 		return nil, nil, err
 	}
 	for _, s := range e.sites {
-		if !s.isPair {
+		if s.class != inject.ClassPair {
 			continue
 		}
 		for _, inst := range s.instances {

@@ -196,7 +196,7 @@ func (e *engine) feedbackLoop(spec feedbackSpec) {
 // commit index back to the canonical pair Instance; every other window
 // is the ordinary first-reach-wins plan.
 func (e *engine) roundPlan(candidates []inject.Instance) inject.Plan {
-	if len(candidates) == 0 || !inject.IsPairSite(candidates[0].Site) {
+	if len(candidates) == 0 || inject.ClassOf(candidates[0].Site) != inject.ClassPair {
 		return inject.Window(candidates)
 	}
 	pairs := make([][2]inject.Instance, len(candidates))

@@ -1,18 +1,22 @@
 package core_test
 
-// Golden-trace regression: the explorer's structured trace for the
-// quickstart target (f3, ZK-4203) under a fixed seed must match the
-// committed golden file byte for byte. This pins down the whole search
-// trajectory — observables, site ranking, window growth, feedback deltas,
-// outcome — not just the final report, proving end-to-end determinism.
+// Golden-trace regressions and two-run determinism. The explorer's
+// structured trace for a fixed (target, seed) must match its committed
+// golden file byte for byte — the quickstart target (f3, ZK-4203) and
+// one golden per scenario of the later fault classes (f26–f34). This
+// pins the whole search trajectory — observables, site ranking, window
+// growth, feedback deltas, outcome — not just the final report. Every
+// f1–f34 search, in both addressing modes, must also emit the identical
+// byte stream when run twice in one process.
 //
-// Regenerate after an intentional explorer change with:
+// Regenerate the goldens after an intentional explorer change with:
 //
-//	go test ./internal/core -run TestGoldenTraceQuickstart -update
+//	go test ./internal/core -run 'TestGoldenTraceQuickstart|GoldenTraces' -update
 
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,54 +28,46 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden trace files")
 
-const goldenTracePath = "testdata/quickstart.trace.jsonl"
-
-// quickstartTrace runs the quickstart reproduction (examples/quickstart:
-// f3 with seed 1 and default options) with a JSONL sink attached.
-func quickstartTrace(t *testing.T) []byte {
+// searchTrace runs one failure's reproduction (seed 1 unless opts say
+// otherwise) with a JSONL sink attached and returns the trace bytes. The
+// search must reproduce.
+func searchTrace(t *testing.T, id string, opts core.Options) []byte {
 	t.Helper()
-	sc, ok := failures.ByID("f3")
-	if !ok {
-		t.Fatal("no quickstart failure f3")
-	}
-	tgt, err := sc.BuildTarget()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	sink := trace.NewWriter(&buf)
-	rep := core.Reproduce(tgt, core.Options{Seed: 1, Trace: sink})
+	opts.Trace = sink
+	rep := core.Reproduce(target(t, id), opts)
 	if err := sink.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Reproduced {
-		t.Fatalf("quickstart target not reproduced in %d rounds", rep.Rounds)
+		t.Fatalf("%s not reproduced in %d rounds", id, rep.Rounds)
 	}
 	return buf.Bytes()
 }
 
-func TestGoldenTraceQuickstart(t *testing.T) {
-	got := quickstartTrace(t)
-
+// checkGolden compares a trace with its golden file (or rewrites the
+// file under -update), decoding both streams for a readable event-level
+// diff on mismatch.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenTracePath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenTracePath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("golden trace updated: %s (%d bytes)", goldenTracePath, len(got))
+		t.Logf("golden trace updated: %s (%d bytes)", path, len(got))
 		return
 	}
-
-	want, err := os.ReadFile(goldenTracePath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read golden trace (run with -update to create it): %v", err)
 	}
 	if bytes.Equal(got, want) {
 		return
 	}
-	// Decode both streams for a readable event-level diff before failing.
 	gotEv, gerr := trace.ReadAll(bytes.NewReader(got))
 	wantEv, werr := trace.ReadAll(bytes.NewReader(want))
 	if gerr != nil || werr != nil {
@@ -81,16 +77,72 @@ func TestGoldenTraceQuickstart(t *testing.T) {
 		t.Error(d)
 	}
 	t.Fatalf("trace differs from %s (%d vs %d events); rerun with -update if the change is intentional",
-		goldenTracePath, len(gotEv), len(wantEv))
+		path, len(gotEv), len(wantEv))
 }
 
-// The trace must be identical across repeated in-process runs: no map
-// iteration order, scheduling, or wall clock may leak into events.
+// TestGoldenTraceQuickstart pins examples/quickstart: f3 with seed 1 and
+// default options.
+func TestGoldenTraceQuickstart(t *testing.T) {
+	checkGolden(t, "testdata/quickstart.trace.jsonl", searchTrace(t, "f3", core.Options{Seed: 1}))
+}
+
+// classGoldens lists the scenarios with a golden trace of their own,
+// one row per fault-class family: dyn anti-entropy (site+env), pair,
+// and partial.
+var classGoldens = map[string][]string{
+	"dyn":     {"f26", "f27", "f28", "f29"},
+	"pair":    {"f30", "f31"},
+	"partial": {"f32", "f33", "f34"},
+}
+
+// runClassGoldens checks one family's goldens: testdata/<id>.trace.jsonl
+// against a seed-1 search capped at 500 rounds.
+func runClassGoldens(t *testing.T, family string) {
+	for _, id := range classGoldens[family] {
+		id := id
+		t.Run(id, func(t *testing.T) {
+			got := searchTrace(t, id, core.Options{Seed: 1, MaxRounds: 500})
+			checkGolden(t, fmt.Sprintf("testdata/%s.trace.jsonl", id), got)
+		})
+	}
+}
+
+func TestDynGoldenTraces(t *testing.T)     { runClassGoldens(t, "dyn") }
+func TestPairGoldenTraces(t *testing.T)    { runClassGoldens(t, "pair") }
+func TestPartialGoldenTraces(t *testing.T) { runClassGoldens(t, "partial") }
+
+// checkDeterministic runs one failure's search twice in-process under
+// the given addressing and demands byte-identical traces — no map
+// iteration order, scheduling, wall clock, crash/restart or partition
+// timing, or path bookkeeping may leak into events.
+func checkDeterministic(t *testing.T, id string, addr core.Addressing) {
+	t.Helper()
+	opts := core.Options{Seed: 1, MaxRounds: 500, Addressing: addr}
+	if a, b := searchTrace(t, id, opts), searchTrace(t, id, opts); !bytes.Equal(a, b) {
+		t.Fatalf("%s: two %s-addressed runs produced different traces", id, addr)
+	}
+}
+
+// TestTraceDeterministicAcrossRuns covers every dataset failure, f1–f34,
+// in both addressing modes.
 func TestTraceDeterministicAcrossRuns(t *testing.T) {
-	a := quickstartTrace(t)
-	b := quickstartTrace(t)
-	if !bytes.Equal(a, b) {
-		t.Fatal("two runs of the same (target, options) produced different traces")
+	for _, sc := range failures.All() {
+		for _, addr := range []core.Addressing{core.AddrOccurrence, core.AddrPath} {
+			id, addr := sc.ID, addr
+			t.Run(id+"/"+string(addr), func(t *testing.T) {
+				t.Parallel()
+				checkDeterministic(t, id, addr)
+			})
+		}
+	}
+}
+
+// TestEnvTraceDeterminism runs the env-rooted subset on its own, for
+// the targeted chaos checks.
+func TestEnvTraceDeterminism(t *testing.T) {
+	for _, id := range []string{"f23", "f24", "f25"} {
+		id := id
+		t.Run(id, func(t *testing.T) { checkDeterministic(t, id, core.AddrOccurrence) })
 	}
 }
 

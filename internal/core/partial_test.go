@@ -2,19 +2,12 @@ package core_test
 
 // End-to-end regressions for the partial-failure scenarios (f32–f34): the
 // partial fault class reproduces them through the ordinary feedback loop,
-// the search traces are byte-identical across runs and pinned by goldens,
-// the reproduction scripts replay through Verify, and enabling partial
-// enumeration on the paper's 22 site-rooted failures changes nothing
-// about the site search.
-//
-// Regenerate the partial trace goldens after an intentional change with:
-//
-//	go test ./internal/core -run TestPartialGoldenTraces -update
+// the reproduction scripts replay through Verify, and the injection is
+// traced with its decoded kind. Their traces are golden-pinned and
+// determinism-checked in golden_trace_test.go; the proof that partial
+// enumeration leaves the site search alone is in dyn_test.go.
 
 import (
-	"bytes"
-	"fmt"
-	"os"
 	"strings"
 	"testing"
 
@@ -47,7 +40,7 @@ func TestPartialScenariosReproduceEndToEnd(t *testing.T) {
 			if !rep.PartialRooted {
 				t.Fatalf("%s reproduced by %v, not marked partial-rooted", id, rep.Script)
 			}
-			if !inject.IsPartialSite(rep.Script.Site) {
+			if inject.ClassOf(rep.Script.Site) != inject.ClassPartial {
 				t.Fatalf("%s script %v is not a partial pseudo-site", id, rep.Script)
 			}
 			if rep.Script.Site != sc.RootSite {
@@ -57,53 +50,6 @@ func TestPartialScenariosReproduceEndToEnd(t *testing.T) {
 				t.Fatalf("%s script %v does not verify under seed %d", id, rep.Script, rep.ScriptSeed)
 			}
 		})
-	}
-}
-
-// TestPartialGoldenTraces pins the full search trajectory of each
-// partial scenario; TestPartialTraceDeterministic proves a second
-// in-process run emits the identical byte stream.
-func TestPartialGoldenTraces(t *testing.T) {
-	for _, id := range partialIDs {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			got := pairTrace(t, id)
-			path := fmt.Sprintf("testdata/%s.trace.jsonl", id)
-			if *update {
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("golden trace updated: %s (%d bytes)", path, len(got))
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("read golden trace (run with -update to create it): %v", err)
-			}
-			if bytes.Equal(got, want) {
-				return
-			}
-			gotEv, gerr := trace.ReadAll(bytes.NewReader(got))
-			wantEv, werr := trace.ReadAll(bytes.NewReader(want))
-			if gerr != nil || werr != nil {
-				t.Fatalf("trace differs from golden and does not decode: got err %v, want err %v", gerr, werr)
-			}
-			for _, d := range trace.Diff(wantEv, gotEv, 10) {
-				t.Error(d)
-			}
-			t.Fatalf("trace differs from %s (%d vs %d events); rerun with -update if intentional",
-				path, len(gotEv), len(wantEv))
-		})
-	}
-}
-
-func TestPartialTraceDeterministic(t *testing.T) {
-	for _, id := range partialIDs {
-		a := pairTrace(t, id)
-		b := pairTrace(t, id)
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s: two runs produced different traces", id)
-		}
 	}
 }
 
@@ -126,7 +72,7 @@ func TestPartialInjectedTraceEvents(t *testing.T) {
 		}
 		if ev.Site == rep.Script.Site && ev.Occ == rep.Script.Occurrence {
 			found = true
-			if ev.Class != string(inject.PartialDupDeliver) || ev.Subject != "mq-producer-1" || ev.Peer != "broker-a" {
+			if ev.Class != inject.PartialDupDeliver.Name() || ev.Subject != "mq-producer-1" || ev.Peer != "broker-a" {
 				t.Fatalf("partial_injected event incomplete: %+v", ev)
 			}
 			if l := trace.Line(ev); !strings.Contains(l, "partial_injected") {
@@ -136,35 +82,5 @@ func TestPartialInjectedTraceEvents(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no partial_injected event for script %v", rep.Script)
-	}
-}
-
-// TestSiteSearchUnchangedByPartialEnumeration is the compatibility
-// acceptance criterion: turning partial-fault enumeration on for the
-// paper's 22 site-rooted failures must not perturb the site search —
-// same rounds, same injections, same windows, same script. Partial
-// instances enter the window only after every site-class instance has
-// been tried, and these searches all conclude before that point.
-func TestSiteSearchUnchangedByPartialEnumeration(t *testing.T) {
-	for _, s := range failures.SiteDataset() {
-		s := s
-		t.Run(s.ID, func(t *testing.T) {
-			t.Parallel()
-			tgt := target(t, s.ID)
-			base := core.Reproduce(tgt, core.Options{Strategy: core.FullFeedback, Seed: 1, MaxRounds: 500})
-			withPartial := core.Reproduce(tgt, core.Options{
-				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 500,
-				FaultClasses: []string{core.ClassSite, core.ClassPartial},
-			})
-			if !base.Reproduced {
-				t.Fatalf("%s baseline not reproduced", s.ID)
-			}
-			if withPartial.PartialRooted {
-				t.Fatalf("%s partial-rooted under combined classes: %v", s.ID, withPartial.Script)
-			}
-			if a, b := roundSummary(base), roundSummary(withPartial); a != b {
-				t.Fatalf("%s search trajectory changed with partial enumeration:\n--- site-only\n%s--- site+partial\n%s", s.ID, a, b)
-			}
-		})
 	}
 }

@@ -4,11 +4,11 @@ package core_test
 // reproduces, the search visits the same rounds as the default occurrence
 // mode (the two modes name the same dynamic instances, so trajectories
 // are equivalent), reproduction scripts carry parseable canonical path
-// addresses, and two independent runs produce byte-identical traces —
-// path addresses are seed-stable, not incidental.
+// addresses. That two independent runs produce byte-identical traces —
+// path addresses are seed-stable, not incidental — is checked with every
+// other scenario's determinism in golden_trace_test.go.
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,25 +16,12 @@ import (
 	"anduril/internal/core"
 	"anduril/internal/failures"
 	"anduril/internal/inject"
-	"anduril/internal/trace"
 )
 
-// pathReproduce runs one scenario under AddrPath with a trace attached.
-func pathReproduce(t *testing.T, sc *failures.Scenario) (*core.Report, []byte) {
+// pathReproduce runs one scenario under AddrPath.
+func pathReproduce(t *testing.T, sc *failures.Scenario) *core.Report {
 	t.Helper()
-	tgt, err := sc.BuildTarget()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	sink := trace.NewWriter(&buf)
-	rep := core.Reproduce(tgt, core.Options{
-		Seed: 1, MaxRounds: 500, Addressing: core.AddrPath, Trace: sink,
-	})
-	if err := sink.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return rep, buf.Bytes()
+	return core.Reproduce(target(t, sc.ID), core.Options{Seed: 1, MaxRounds: 500, Addressing: core.AddrPath})
 }
 
 // TestPathAddressingReproducesDataset: every single-fault scenario still
@@ -51,12 +38,12 @@ func TestPathAddressingReproducesDataset(t *testing.T) {
 		t.Skip("slow")
 	}
 	for _, sc := range failures.All() {
-		if sc.SearchesPair() {
+		if sc.Searches(inject.ClassPair) {
 			continue // pair member refs embed the mode; covered separately
 		}
 		sc := sc
 		t.Run(sc.ID, func(t *testing.T) {
-			rep, first := pathReproduce(t, sc)
+			rep := pathReproduce(t, sc)
 			if !rep.Reproduced {
 				t.Fatalf("not reproduced under path addressing in %d rounds", rep.Rounds)
 			}
@@ -74,7 +61,7 @@ func TestPathAddressingReproducesDataset(t *testing.T) {
 			if rep.Script.Path == "" {
 				t.Fatalf("script %v carries no path address", *rep.Script)
 			}
-			if inject.IsPartialSite(rep.Script.Site) {
+			if inject.ClassOf(rep.Script.Site) == inject.ClassPartial {
 				// Partial pseudo-sites are root-addressed: the path form is
 				// the site with the per-run occurrence appended (channel
 				// subjects may embed '>', which the path grammar reserves
@@ -82,7 +69,7 @@ func TestPathAddressingReproducesDataset(t *testing.T) {
 				if want := fmt.Sprintf("%s#%d", rep.Script.Site, rep.Script.Occurrence); rep.Script.Path != want {
 					t.Fatalf("script path %q, want root-addressed %q", rep.Script.Path, want)
 				}
-			} else if !inject.IsEnvSite(rep.Script.Site) {
+			} else if inject.ClassOf(rep.Script.Site) != inject.ClassEnv {
 				addr, ok := inject.ParsePathAddr(rep.Script.Path)
 				if !ok {
 					t.Fatalf("script path %q does not parse", rep.Script.Path)
@@ -91,16 +78,6 @@ func TestPathAddressingReproducesDataset(t *testing.T) {
 					t.Fatalf("script path %q terminates at %q, script site %q",
 						rep.Script.Path, addr.Site, rep.Script.Site)
 				}
-			}
-
-			// Seed stability: an independent second run emits the identical
-			// trace byte stream, path addresses included.
-			rep2, second := pathReproduce(t, sc)
-			if !rep2.Reproduced || rep2.Script.Path != rep.Script.Path {
-				t.Fatalf("second run script %v != first %v", rep2.Script, rep.Script)
-			}
-			if !bytes.Equal(first, second) {
-				t.Fatal("two path-addressed runs produced different traces")
 			}
 		})
 	}
@@ -113,7 +90,7 @@ func TestPathAddressingPairScripts(t *testing.T) {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			sc, _ := failures.ByID(id)
-			rep, first := pathReproduce(t, sc)
+			rep := pathReproduce(t, sc)
 			if !rep.Reproduced {
 				t.Fatalf("%s not reproduced under path addressing in %d rounds", id, rep.Rounds)
 			}
@@ -125,7 +102,7 @@ func TestPathAddressingPairScripts(t *testing.T) {
 				t.Fatalf("script %v does not decompose", *rep.Script)
 			}
 			for _, m := range []inject.Instance{a, b} {
-				if inject.IsEnvSite(m.Site) {
+				if inject.ClassOf(m.Site) == inject.ClassEnv {
 					continue
 				}
 				if m.Path == "" || !strings.Contains(m.Path, "#") {
@@ -134,10 +111,6 @@ func TestPathAddressingPairScripts(t *testing.T) {
 				if addr, ok := inject.ParsePathAddr(m.Path); !ok || addr.Site != m.Site {
 					t.Fatalf("member path %q does not parse back to site %q", m.Path, m.Site)
 				}
-			}
-			_, second := pathReproduce(t, sc)
-			if !bytes.Equal(first, second) {
-				t.Fatalf("%s: two path-addressed runs produced different traces", id)
 			}
 		})
 	}

@@ -1,19 +1,15 @@
 package core
 
 // Site priorities F_i = min_k (L_{i,k} + I_k) (§5.2.4) and the ranking
-// over them. Two interchangeable rankers maintain the order:
-//
-//   - naiveRanker re-scores every site and fully re-sorts on each call —
-//     the paper's algorithm as literally written, kept behind
-//     Options.NaiveRanking for equivalence tests and benchmarks;
-//   - indexRanker is the incremental priority index: it tracks which
-//     sites are dirty (their F_i may have changed because a feedback
-//     update bumped an observable they reach) and on the next ranking
-//     re-scores only those, merging them back into the maintained order.
-//
-// Both produce the identical total order — (F_i, site id) ascending, with
-// unique ids making the order strict — so traces, root-rank trajectories
-// and golden files are byte-identical between them.
+// over them. indexRanker is the incremental priority index: it tracks
+// which sites are dirty (their F_i may have changed because a feedback
+// update bumped an observable they reach) and on the next ranking
+// re-scores only those, merging them back into the maintained order. It
+// produces the identical total order — (F_i, site id) ascending, with
+// unique ids making the order strict — as re-scoring every site and
+// fully re-sorting each round, the paper's algorithm as literally
+// written; the equivalence tests pin traces, root-rank trajectories and
+// golden files byte-identical between the two.
 
 import (
 	"math"
@@ -22,82 +18,13 @@ import (
 	"anduril/internal/inject"
 )
 
-// Environment pseudo-sites have no causal-graph node, so their spatial
-// distance to every observable is a synthetic per-class constant —
-// larger than any graph path in the dataset, so env instances rank
-// below every causally-connected error-return site until feedback bumps
-// reorder them. The class order (crash < partition < drop < delay)
-// encodes blast radius: a crash perturbs the most behavior, so it is
-// the most promising guess for an unexplained failure.
-const (
-	envDistCrash     = 24
-	envDistPartition = 26
-	envDistDrop      = 28
-	envDistDelay     = 30
-
-	// envDistMatched scores an env site against an observable that IS the
-	// site's own injection marker (the production log recorded the
-	// environment event — "env: message nn>dn1 delayed" names the delay
-	// channel directly, modulo sanitized digits). Such evidence outranks
-	// every blast-radius prior, so an env-rooted failure whose log carries
-	// the marker is searched marker-first instead of class-order.
-	envDistMatched = 1
-)
-
-// Partial pseudo-sites likewise have no causal-graph node; their
-// synthetic distances sit above the env band, so with both classes
-// enabled the cleaner, better-understood env faults are tried first.
-// Within the class the order encodes how much persistent state the
-// fault corrupts: a torn rename leaves a double ledger recovery must
-// untangle, a short write or mid-append ENOSPC corrupts one file's
-// tail, a duplicated delivery double-applies one message, and eintr
-// only surfaces a spurious error for a delivered message.
-const (
-	partialDistTorn   = 34
-	partialDistShort  = 36
-	partialDistENOSPC = 38
-	partialDistDup    = 40
-	partialDistEINTR  = 42
-
-	// partialDistMatched mirrors envDistMatched: an observable equal to a
-	// partial site's own injection marker is near-direct failure-log
-	// evidence for that site.
-	partialDistMatched = 1
-)
-
-// partialSiteDistance returns the synthetic distance for a partial site
-// (and whether the site is one).
-func partialSiteDistance(site string) (float64, bool) {
-	switch inject.PartialClassOf(site) {
-	case inject.PartialTornRename:
-		return partialDistTorn, true
-	case inject.PartialShortWrite:
-		return partialDistShort, true
-	case inject.PartialENOSPC:
-		return partialDistENOSPC, true
-	case inject.PartialDupDeliver:
-		return partialDistDup, true
-	case inject.PartialEINTR:
-		return partialDistEINTR, true
-	}
-	return 0, false
-}
-
-// envSiteDistance returns the synthetic distance for an env site (and
-// whether the site is one).
-func envSiteDistance(site string) (float64, bool) {
-	switch inject.EnvClassOf(site) {
-	case inject.EnvCrash:
-		return envDistCrash, true
-	case inject.EnvPartition:
-		return envDistPartition, true
-	case inject.EnvDrop:
-		return envDistDrop, true
-	case inject.EnvDelay:
-		return envDistDelay, true
-	}
-	return 0, false
-}
+// markerMatchedDist scores a pseudo-site against an observable that IS
+// the site's own injection marker: the production log recorded the
+// event itself ("env: message nn>dn1 delayed" names the delay channel
+// directly, modulo sanitized digits). Such evidence outranks every
+// synthetic class distance (see the inject pseudo-site table), so a
+// failure whose log carries the marker is searched marker-first.
+const markerMatchedDist = 1
 
 // computePriorities evaluates F_i = min_k (L_{i,k} + I_k) for every site
 // (§5.2.4), with the distance and feedback terms toggled per strategy.
@@ -108,25 +35,35 @@ func (e *engine) computePriorities(useDistance, useFeedback bool) {
 	}
 }
 
-// memberDistance scores one pair member against one observable: the env
-// synthetic distance (marker-matched when the observable IS the member's
-// own injection marker) for env members, the closest causal-graph
-// template distance otherwise.
-func (e *engine) memberDistance(site, marker string, o *observable) float64 {
-	if d, isEnv := envSiteDistance(site); isEnv {
-		if marker != "" && o.key.Msg == marker {
-			return envDistMatched
+// distance is L_{i,k}, the spatial distance from the site to one
+// observable (+Inf when unreachable):
+//
+//   - an error-return site: the closest causal-graph template distance;
+//   - a pseudo-site: the kind's synthetic distance standing in for every
+//     L_{i,k}, so feedback adjustments flow into it exactly as into
+//     error-return sites — or markerMatchedDist when the observable is
+//     the site's own injection marker;
+//   - a pair: the closer member's distance, so a feedback bump on an
+//     observable either member reaches flows into the pair's priority
+//     exactly as it does into the member's.
+func (s *siteState) distance(o *observable) float64 {
+	switch s.class {
+	case inject.ClassSite:
+		l := math.Inf(1)
+		for _, tmpl := range o.templates {
+			if d, ok := s.dists[tmpl]; ok && float64(d) < l {
+				l = float64(d)
+			}
 		}
-		return d
-	}
-	l := math.Inf(1)
-	dists := e.dist[site]
-	for _, tmpl := range o.templates {
-		if d, ok := dists[tmpl]; ok && float64(d) < l {
-			l = float64(d)
+		return l
+	case inject.ClassPair:
+		return math.Min(s.members[0].distance(o), s.members[1].distance(o))
+	default:
+		if s.marker != "" && o.key.Msg == s.marker {
+			return markerMatchedDist
 		}
+		return s.kind.Distance()
 	}
-	return l
 }
 
 // rescoreSite recomputes one site's F_i and best observable from scratch.
@@ -136,45 +73,8 @@ func (e *engine) rescoreSite(s *siteState, useDistance, useFeedback bool) {
 	}
 	s.f = math.Inf(1)
 	s.bestObs = -1
-	dists := e.dist[s.id]
-	envDist, isEnv := envSiteDistance(s.id)
-	partialDist, isPartial := partialSiteDistance(s.id)
 	for k, o := range e.obs {
-		l := math.Inf(1)
-		if s.isPair {
-			// A pair reaches an observable through whichever member is
-			// closer: L is the min of the member distances, so a feedback
-			// bump on an observable either member reaches flows into the
-			// pair's priority exactly as it does into the member's.
-			l = e.memberDistance(s.pairSites[0], s.pairMarkers[0], o)
-			if l2 := e.memberDistance(s.pairSites[1], s.pairMarkers[1], o); l2 < l {
-				l = l2
-			}
-		} else if isEnv {
-			// Same scoring shape as sites — F = min_k (L + I_k) — with the
-			// synthetic class distance standing in for every L_{i,k}, so
-			// feedback adjustments flow into env sites unchanged. An
-			// observable equal to this site's own marker is scored as a
-			// near-direct hit instead.
-			l = envDist
-			if s.marker != "" && o.key.Msg == s.marker {
-				l = envDistMatched
-			}
-		} else if isPartial {
-			// Partial sites score exactly like env sites: the synthetic
-			// class distance stands in for every L_{i,k}, and an observable
-			// equal to the site's own marker is a near-direct hit.
-			l = partialDist
-			if s.marker != "" && o.key.Msg == s.marker {
-				l = partialDistMatched
-			}
-		} else {
-			for _, tmpl := range o.templates {
-				if d, ok := dists[tmpl]; ok && float64(d) < l {
-					l = float64(d)
-				}
-			}
-		}
+		l := s.distance(o)
 		if math.IsInf(l, 1) {
 			continue
 		}
@@ -281,26 +181,15 @@ type ranker interface {
 	observableBumped(k int)
 }
 
-// newRanker picks the ranking implementation for this run.
+// newRanker picks the ranking implementation for this run: the
+// engine's rankerFor override (tests and benchmarks), else the
+// incremental index.
 func (e *engine) newRanker(useFeedback bool) ranker {
-	if e.o.NaiveRanking {
-		return &naiveRanker{e: e, useFeedback: useFeedback}
+	if e.rankerFor != nil {
+		return e.rankerFor(e, useFeedback)
 	}
 	return &indexRanker{e: e, useFeedback: useFeedback}
 }
-
-// naiveRanker recomputes every priority and re-sorts on every call.
-type naiveRanker struct {
-	e           *engine
-	useFeedback bool
-}
-
-func (r *naiveRanker) ranked() []*siteState {
-	r.e.computePriorities(true, r.useFeedback)
-	return r.e.rankedSites()
-}
-
-func (r *naiveRanker) observableBumped(int) {}
 
 // indexRanker is the incremental priority index. It builds the full
 // ranking once, plus a reverse index observable -> sites reaching it;
@@ -333,33 +222,13 @@ func (r *indexRanker) build() {
 	// Copy out of the engine's shared ranking buffer: order is long-lived.
 	r.order = append([]*siteState(nil), e.rankedSites()...)
 	r.obsSites = make([][]*siteState, len(e.obs))
+	// A site is dirtied by a bump on any observable it reaches: through
+	// the causal graph, through either pair member, or — for a
+	// pseudo-site's synthetic distance — every observable.
 	for _, s := range e.sites {
-		if s.isPair {
-			// A pair reaches whatever either member reaches, so a bump on
-			// any member-reachable observable dirties the pair.
-			for k, o := range e.obs {
-				if !math.IsInf(e.memberDistance(s.pairSites[0], s.pairMarkers[0], o), 1) ||
-					!math.IsInf(e.memberDistance(s.pairSites[1], s.pairMarkers[1], o), 1) {
-					r.obsSites[k] = append(r.obsSites[k], s)
-				}
-			}
-			continue
-		}
-		if inject.IsEnvSite(s.id) || inject.IsPartialSite(s.id) {
-			// An env or partial site's synthetic distance reaches every
-			// observable, so any priority bump dirties it.
-			for k := range e.obs {
-				r.obsSites[k] = append(r.obsSites[k], s)
-			}
-			continue
-		}
-		dists := e.dist[s.id]
 		for k, o := range e.obs {
-			for _, tmpl := range o.templates {
-				if _, ok := dists[tmpl]; ok {
-					r.obsSites[k] = append(r.obsSites[k], s)
-					break
-				}
+			if !math.IsInf(s.distance(o), 1) {
+				r.obsSites[k] = append(r.obsSites[k], s)
 			}
 		}
 	}

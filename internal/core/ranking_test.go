@@ -24,7 +24,6 @@ func synthEngine(nSites, nObs int, seed int64) *engine {
 			templates: []string{tmpl},
 		})
 	}
-	e.dist = make(map[string]map[string]int, nSites)
 	for i := 0; i < nSites; i++ {
 		id := fmt.Sprintf("site-%04d", i)
 		d := map[string]int{}
@@ -32,9 +31,9 @@ func synthEngine(nSites, nObs int, seed int64) *engine {
 		for n := rng.Intn(6); n >= 0; n-- {
 			d[fmt.Sprintf("tmpl-%03d", rng.Intn(nObs))] = 1 + rng.Intn(12)
 		}
-		e.dist[id] = d
 		e.sites = append(e.sites, &siteState{
 			id:        id,
+			dists:     d,
 			instances: []instance{{occ: 1, alignedPos: float64(rng.Intn(1000))}},
 		})
 	}
@@ -84,8 +83,23 @@ func TestIndexRankerMatchesNaive(t *testing.T) {
 	}
 }
 
+// naiveRanker recomputes every priority and re-sorts on every call — the
+// paper's algorithm as literally written, the reference the incremental
+// index is tested and benchmarked against.
+type naiveRanker struct {
+	e           *engine
+	useFeedback bool
+}
+
+func (r *naiveRanker) ranked() []*siteState {
+	r.e.computePriorities(true, r.useFeedback)
+	return r.e.rankedSites()
+}
+
+func (r *naiveRanker) observableBumped(int) {}
+
 // newRankerNamed builds a specific ranker implementation regardless of the
-// engine's own NaiveRanking option — test plumbing only.
+// engine's own ranker choice — test plumbing only.
 func (e *engine) newRankerNamed(useFeedback, naive bool) ranker {
 	if naive {
 		return &naiveRanker{e: e, useFeedback: useFeedback}

@@ -26,7 +26,7 @@ func (e *engine) temporalDistance(s *siteState, inst instance) float64 {
 	if s.bestObs < 0 {
 		return inst.alignedPos
 	}
-	if s.isPair {
+	if s.class == inject.ClassPair {
 		return inst.pairT
 	}
 	best := math.Inf(1)
@@ -86,7 +86,7 @@ func (e *engine) bestUntried(s *siteState, useTemporal bool, limit int) (instanc
 // AND member references), everything else a (site, occurrence) pair plus
 // the canonical path under path addressing.
 func candidateFor(s *siteState, inst instance) inject.Instance {
-	if s.isPair {
+	if s.class == inject.ClassPair {
 		return s.pairInsts[inst.occ-1]
 	}
 	return inject.Instance{Site: s.id, Occurrence: inst.occ, Path: inst.path}
@@ -94,61 +94,26 @@ func candidateFor(s *siteState, inst instance) inject.Instance {
 
 // fillWindow selects the round's candidate window from the ranked
 // sites: the best untried instance of each site, in ranking order,
-// until the window is full. Selection is multi-pass across fault
-// classes — error-return sites first, then environment pseudo-sites
-// only when no untried site-class instance can be selected at all,
-// then partial pseudo-sites, and pair pseudo-sites last, when every
-// single-fault space is spent — so enabling a wider class never
-// changes which instances the narrower search injects: each class runs
-// to exhaustion in its exact original order before the next space
-// opens. A window is therefore homogeneous in the pair/non-pair sense,
-// which is what lets the round build one PairPlan for pair windows and
-// one ordinary window plan otherwise.
+// until the window is full. Selection is one pass per enabled fault
+// class in window order — error-return sites, then env pseudo-sites,
+// then partial pseudo-sites, then pairs — and a class is admitted only
+// when no untried instance of an earlier class can be selected at all,
+// so enabling a wider class never changes which instances the narrower
+// search injects: each class runs to exhaustion in its exact original
+// order before the next space opens. A window is therefore homogeneous
+// in class, which is what lets the round build one PairPlan for pair
+// windows and one ordinary window plan otherwise.
 func (e *engine) fillWindow(ranked []*siteState, window int, useTemporal bool, limit int) []inject.Instance {
 	candidates := e.candBuf[:0]
-	for _, s := range ranked {
-		if len(candidates) >= window {
-			break
-		}
-		if s.isPair || inject.IsEnvSite(s.id) || inject.IsPartialSite(s.id) {
+	for c := inject.Class(0); c < inject.NumClasses && len(candidates) == 0; c++ {
+		if !e.classes.Has(c) {
 			continue
 		}
-		if inst, ok := e.bestUntried(s, useTemporal, limit); ok {
-			candidates = append(candidates, candidateFor(s, inst))
-		}
-	}
-	if len(candidates) == 0 && e.envClass {
 		for _, s := range ranked {
 			if len(candidates) >= window {
 				break
 			}
-			if !inject.IsEnvSite(s.id) {
-				continue
-			}
-			if inst, ok := e.bestUntried(s, useTemporal, limit); ok {
-				candidates = append(candidates, candidateFor(s, inst))
-			}
-		}
-	}
-	if len(candidates) == 0 && e.partialClass {
-		for _, s := range ranked {
-			if len(candidates) >= window {
-				break
-			}
-			if !inject.IsPartialSite(s.id) {
-				continue
-			}
-			if inst, ok := e.bestUntried(s, useTemporal, limit); ok {
-				candidates = append(candidates, candidateFor(s, inst))
-			}
-		}
-	}
-	if len(candidates) == 0 && e.pairClass {
-		for _, s := range ranked {
-			if len(candidates) >= window {
-				break
-			}
-			if !s.isPair {
+			if s.class != c {
 				continue
 			}
 			if inst, ok := e.bestUntried(s, useTemporal, limit); ok {
@@ -169,7 +134,7 @@ func (e *engine) multiplyCandidates(ranked []*siteState, window int) []inject.In
 		if math.IsInf(s.f, 1) {
 			continue
 		}
-		if s.isPair {
+		if s.class == inject.ClassPair {
 			// The multiply ablation ranks single-fault instances only: a
 			// pair candidate needs its own plan shape, and mixing the two
 			// in one window would make the round's plan ambiguous.

@@ -36,10 +36,9 @@ func (e *engine) flatten(entries []logging.Entry) []logging.Entry {
 // nearestObs distances. Returns nil when no instance combination exists.
 func (e *engine) pairSite(sa, sb *siteState) *siteState {
 	st := &siteState{
-		id:          inject.PairSiteID(sa.id, sb.id),
-		isPair:      true,
-		pairSites:   [2]string{sa.id, sb.id},
-		pairMarkers: [2]string{sa.marker, sb.marker},
+		id:      inject.PairSiteID(sa.id, sb.id),
+		class:   inject.ClassPair,
+		members: [2]*siteState{sa, sb},
 	}
 	self := sa == sb
 	n := len(sa.instances) * len(sb.instances)
@@ -107,7 +106,7 @@ func (e *engine) setup(free *cluster.Result) {
 
 	// Spatial distances L_{i,k} from the static causal graph, computed
 	// once per analysis Result and shared read-only across reproductions.
-	e.dist = e.t.Analysis.SiteDistances()
+	dist := e.t.Analysis.SiteDistances()
 
 	// Candidate sites: causally connected to at least one relevant
 	// observable AND exercised by the workload (otherwise there is no
@@ -146,8 +145,9 @@ func (e *engine) setup(free *cluster.Result) {
 	// still discovered here even though none enters e.sites itself.
 	var donors []*siteState
 	total := 0
-	if e.siteClass || e.pairClass {
-		for siteID, dists := range e.dist {
+	siteClass, pairClass := e.classes.Has(inject.ClassSite), e.classes.Has(inject.ClassPair)
+	if siteClass || pairClass {
+		for siteID, dists := range dist {
 			reachesRelevant := false
 			for tmpl := range dists {
 				if relevantTemplates[tmpl] {
@@ -162,11 +162,11 @@ func (e *engine) setup(free *cluster.Result) {
 			if len(insts) == 0 {
 				continue
 			}
-			st := &siteState{id: siteID, instances: insts}
-			if e.pairClass {
+			st := &siteState{id: siteID, instances: insts, dists: dists}
+			if pairClass {
 				donors = append(donors, st)
 			}
-			if e.siteClass {
+			if siteClass {
 				e.sites = append(e.sites, st)
 				total += len(insts)
 			}
@@ -174,65 +174,42 @@ func (e *engine) setup(free *cluster.Result) {
 	}
 	e.instSite = total
 
-	// Environment pseudo-sites come from the free-run trace alone (the
-	// env-enabled network reaches them per message), not the causal
-	// graph: a crash or partition is causally adjacent to everything the
-	// topology connects, so enumeration is gated on the env class being
-	// enabled rather than on graph connectivity. With env disabled the
-	// free run reached none, and this adds nothing.
-	if e.envClass {
-		for siteID, insts := range bySite {
-			if !inject.IsEnvSite(siteID) {
-				continue
-			}
-			st := &siteState{id: siteID, instances: insts}
-			if m, ok := inject.EnvMarker(siteID); ok {
-				st.marker = logdiff.Sanitize(m)
-			}
-			e.sites = append(e.sites, st)
-			if e.pairClass {
-				donors = append(donors, st)
-			}
-			total += len(insts)
+	// Env and partial pseudo-sites come from the free-run trace alone,
+	// not the causal graph: the network and disk reach them once per
+	// message or perturbable operation of an enabled class, so only the
+	// nodes, channels and disk sites the scenario actually exercises are
+	// enumerated (a crash or partition is causally adjacent to everything
+	// the topology connects). Candidate amplitude is calibrated from the
+	// free run — the Zhang et al. realism idea — through the kind's
+	// minimum amplitude. Env sites are pair donors; partial sites are
+	// not, since a pair member must be a fault the member classes
+	// already search.
+	for siteID, insts := range bySite {
+		f, ok := inject.ParsePseudoSite(siteID)
+		if !ok || !e.classes.Has(f.Pseudo.Class()) {
+			continue
 		}
-	}
-
-	// Partial-failure pseudo-sites likewise come from the free-run trace
-	// alone: the partial-enabled disk and network reach them once per
-	// perturbable operation, so only sites and channels the scenario
-	// actually exercises are enumerated. Candidate amplitude is
-	// calibrated from the free run — the Zhang et al. realism idea — per
-	// class: a short-write or enospc-after instance enters only where the
-	// observed payload was at least two bytes, so the persisted prefix is
-	// a nonempty strict prefix of the data (smaller payloads degrade to
-	// the clean all-or-nothing failure the site class already covers).
-	// Partial sites are not pair donors: a pair member must be a fault
-	// the member classes already search.
-	if e.partialClass {
-		for siteID, insts := range bySite {
-			if !inject.IsPartialSite(siteID) {
-				continue
-			}
-			switch inject.PartialClassOf(siteID) {
-			case inject.PartialShortWrite, inject.PartialENOSPC:
-				kept := make([]instance, 0, len(insts))
-				for _, inst := range insts {
-					if inst.amp >= 2 {
-						kept = append(kept, inst)
-					}
+		if min := f.Pseudo.MinAmp(); min > 0 {
+			kept := make([]instance, 0, len(insts))
+			for _, inst := range insts {
+				if inst.amp >= min {
+					kept = append(kept, inst)
 				}
-				insts = kept
 			}
-			if len(insts) == 0 {
-				continue
-			}
-			st := &siteState{id: siteID, instances: insts}
-			if m, ok := inject.PartialMarker(siteID); ok {
-				st.marker = logdiff.Sanitize(m)
-			}
-			e.sites = append(e.sites, st)
-			total += len(insts)
+			insts = kept
 		}
+		if len(insts) == 0 {
+			continue
+		}
+		st := &siteState{
+			id: siteID, class: f.Pseudo.Class(), kind: f.Pseudo, instances: insts,
+			subject: f.Subject, peer: f.Peer, marker: logdiff.Sanitize(f.Marker()),
+		}
+		e.sites = append(e.sites, st)
+		if pairClass && st.class == inject.ClassEnv {
+			donors = append(donors, st)
+		}
+		total += len(insts)
 	}
 
 	// Combined-fault pseudo-sites: every unordered pair of donor sites
@@ -240,12 +217,12 @@ func (e *engine) setup(free *cluster.Result) {
 	// except env×env, whose joint blast radius adds nothing the members
 	// don't cover. Donors are sorted first so pair enumeration order — and
 	// with it every pair instance's occurrence identity — is deterministic.
-	if e.pairClass {
+	if pairClass {
 		sort.Sort(sitesByID(donors))
 		for i, sa := range donors {
 			for j := i; j < len(donors); j++ {
 				sb := donors[j]
-				if inject.IsEnvSite(sa.id) && inject.IsEnvSite(sb.id) {
+				if sa.class == inject.ClassEnv && sb.class == inject.ClassEnv {
 					continue
 				}
 				if st := e.pairSite(sa, sb); st != nil {
@@ -262,7 +239,7 @@ func (e *engine) setup(free *cluster.Result) {
 	// resolves back to the free-run instance it names.
 	if e.o.Addressing == AddrPath {
 		for _, s := range e.sites {
-			if s.isPair {
+			if s.class == inject.ClassPair {
 				continue
 			}
 			s.byPath = make(map[string]int, len(s.instances))

@@ -145,7 +145,7 @@ func init() {
 			// is depends on ring geometry, so search all three.
 			s, _ := ByID("f29")
 			for _, src := range []string{"dyn1", "dyn2", "dyn3"} {
-				site := inject.EnvSiteID(inject.EnvPartition, src, "dyn4")
+				site := inject.PseudoSiteID(inject.EnvPartition, src, "dyn4")
 				if inst, ok := searchOccurrence(s, free, seed, site); ok {
 					return inst, true
 				}

@@ -109,7 +109,7 @@ func init() {
 			// search every namenode->datanode delay channel.
 			s, _ := ByID("f25")
 			for i := 1; i <= 3; i++ {
-				site := inject.EnvSiteID(inject.EnvDelay, "nn", fmt.Sprintf("dn%d", i))
+				site := inject.PseudoSiteID(inject.EnvDelay, "nn", fmt.Sprintf("dn%d", i))
 				if inst, ok := searchOccurrence(s, free, seed, site); ok {
 					return inst, true
 				}

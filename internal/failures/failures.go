@@ -97,51 +97,17 @@ func (s *Scenario) Analyze() (*analysis.Result, error) {
 	return e.res, e.err
 }
 
-// SearchesEnv reports whether the scenario's fault classes include
-// environment faults.
-func (s *Scenario) SearchesEnv() bool {
-	for _, c := range s.FaultClasses {
-		if c == core.ClassEnv {
-			return true
-		}
-	}
-	return false
+// Searches reports whether the scenario's fault classes include c (a
+// scenario declaring none searches the site class only).
+func (s *Scenario) Searches(c inject.Class) bool {
+	return inject.ParseClasses(s.FaultClasses).Has(c)
 }
 
-// SearchesPair reports whether the scenario's fault classes include
-// combined-fault pairs.
-func (s *Scenario) SearchesPair() bool {
-	for _, c := range s.FaultClasses {
-		if c == core.ClassPair {
-			return true
-		}
-	}
-	return false
-}
-
-// SearchesPartial reports whether the scenario's fault classes include
-// partial failures.
-func (s *Scenario) SearchesPartial() bool {
-	for _, c := range s.FaultClasses {
-		if c == core.ClassPartial {
-			return true
-		}
-	}
-	return false
-}
-
-// execOpts returns the cluster options the scenario's own runs need: env
-// and partial enumeration are switched on for scenarios of those classes
-// so free runs count the pseudo-sites (FindRoot needs the counts).
+// execOpts returns the cluster options the scenario's own runs need: the
+// scenario's pseudo-site classes are switched on so free runs count
+// their sites (FindRoot needs the counts).
 func (s *Scenario) execOpts() []cluster.ExecOption {
-	var opts []cluster.ExecOption
-	if s.SearchesEnv() {
-		opts = append(opts, cluster.WithEnvFaults())
-	}
-	if s.SearchesPartial() {
-		opts = append(opts, cluster.WithPartialFaults())
-	}
-	return opts
+	return []cluster.ExecOption{cluster.WithFaultClasses(inject.ParseClasses(s.FaultClasses))}
 }
 
 // GroundTruth finds the root-cause instance under the given seed.

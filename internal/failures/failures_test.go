@@ -79,11 +79,11 @@ func TestRegistryLookups(t *testing.T) {
 	siteOnly, env, pair, partial := 0, 0, 0, 0
 	for _, s := range All() {
 		switch {
-		case s.SearchesEnv():
+		case s.Searches(inject.ClassEnv):
 			env++
-		case s.SearchesPair():
+		case s.Searches(inject.ClassPair):
 			pair++
-		case s.SearchesPartial():
+		case s.Searches(inject.ClassPartial):
 			partial++
 		default:
 			siteOnly++

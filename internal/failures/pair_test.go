@@ -22,13 +22,13 @@ func TestPairScenariosNeedBothFaults(t *testing.T) {
 			// Enumerate singles with env faults enabled so the sweep also
 			// covers every crash/partition/message pseudo-site, even though
 			// the scenarios themselves search the pair class only.
-			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, cluster.WithEnvFaults())
+			free := cluster.Execute(FailureSeed, nil, true, s.Workload, s.Horizon, cluster.WithFaultClasses(inject.SetOf(inject.ClassEnv)))
 			singles := 0
 			for site, n := range free.Counts {
 				for occ := 1; occ <= n; occ++ {
 					inst := inject.Instance{Site: site, Occurrence: occ}
 					res := cluster.Execute(FailureSeed, inject.Exact(inst), false,
-						s.Workload, s.Horizon, cluster.WithEnvFaults())
+						s.Workload, s.Horizon, cluster.WithFaultClasses(inject.SetOf(inject.ClassEnv)))
 					singles++
 					if s.Oracle.Satisfied(res) {
 						t.Fatalf("%s: single fault %s#%d satisfies the pair oracle", id, site, occ)

@@ -52,14 +52,14 @@ func init() {
 			oracle.FileExists("nn/edits.rolled"),
 		),
 		SrcDirs:      dfsSrc,
-		RootSite:     inject.PartialSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""),
+		RootSite:     inject.PseudoSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""),
 		FaultClasses: partialClasses,
 		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The torn roll must not be the last checkpoint attempt, or no
 			// later cycle observes the latched busy flag.
 			s, _ := ByID("f32")
 			return searchOccurrence(s, free, seed,
-				inject.PartialSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""))
+				inject.PseudoSiteID(inject.PartialTornRename, "dfs.namenode.rename-edits", ""))
 		},
 		NewRootCause: "rename torn between copy and unlink: both edit logs exist and checkpointBusy stays latched, so the namenode serves forever without another backup",
 	})
@@ -83,7 +83,7 @@ func init() {
 			oracle.LogContainsExact("Skipping malformed txn record on myid=1"),
 		),
 		SrcDirs:      zkSrc,
-		RootSite:     inject.PartialSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""),
+		RootSite:     inject.PseudoSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""),
 		FaultClasses: partialClasses,
 		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
 			// The torn append must land on zk1 (the server the workload
@@ -91,7 +91,7 @@ func init() {
 			// across the ensemble, so search for one on the right server.
 			s, _ := ByID("f33")
 			return searchOccurrence(s, free, seed,
-				inject.PartialSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""))
+				inject.PseudoSiteID(inject.PartialShortWrite, "zk.sync.append-txn", ""))
 		},
 		NewRootCause: "txn-log replay skips the torn record silently instead of truncating the tail, so the restarted follower rejoins with a hole in its history",
 	})
@@ -137,12 +137,12 @@ func init() {
 			}),
 		),
 		SrcDirs:      mqSrc,
-		RootSite:     inject.PartialSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"),
+		RootSite:     inject.PseudoSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"),
 		FaultClasses: partialClasses,
 		FindRoot: func(free *cluster.Result, seed int64) (inject.Instance, bool) {
 			s, _ := ByID("f34")
 			return searchOccurrence(s, free, seed,
-				inject.PartialSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"))
+				inject.PseudoSiteID(inject.PartialDupDeliver, "mq-producer-1", "broker-a"))
 		},
 		NewRootCause: "the broker's produce path is not idempotent: a redelivered request appends a second copy instead of detecting the duplicate sequence number",
 	})

@@ -123,7 +123,10 @@ type Plan interface {
 }
 
 // exactPlan injects at one precise dynamic instance.
-type exactPlan struct{ inst Instance }
+type exactPlan struct {
+	inst Instance
+	c    carried
+}
 
 func (p exactPlan) Decide(site string, occ int) bool {
 	if p.inst.Path != "" {
@@ -147,8 +150,12 @@ func Exact(inst Instance) Plan {
 	if a, b, ok := PairMembers(inst); ok {
 		return Multi(Exact(a), Exact(b))
 	}
-	return exactPlan{inst}
+	p := exactPlan{inst: inst}
+	p.c.add(inst)
+	return p
 }
+
+func (p exactPlan) carries() carried { return p.c }
 
 // windowPlan injects at the first reach that matches any candidate — the
 // flexible priority window of §5.2.5. Path-addressed candidates are kept
@@ -158,6 +165,7 @@ func Exact(inst Instance) Plan {
 type windowPlan struct {
 	candidates map[Instance]bool
 	byPath     map[string]bool
+	c          carried
 }
 
 func (p windowPlan) Decide(site string, occ int) bool {
@@ -172,11 +180,14 @@ func (p windowPlan) DecidePath(site string, occ int, path string) bool {
 }
 
 // Window returns a plan that injects at whichever candidate instance is
-// reached first in the round.
+// reached first in the round. What it carries is summarized over every
+// candidate, path-addressed ones included.
 func Window(candidates []Instance) Plan {
 	m := make(map[Instance]bool, len(candidates))
 	var paths map[string]bool
+	var carry carried
 	for _, c := range candidates {
+		carry.add(c)
 		if c.Path != "" {
 			if paths == nil {
 				paths = make(map[string]bool, len(candidates))
@@ -186,8 +197,10 @@ func Window(candidates []Instance) Plan {
 		}
 		m[c] = true
 	}
-	return windowPlan{m, paths}
+	return windowPlan{m, paths, carry}
 }
+
+func (p windowPlan) carries() carried { return p.c }
 
 // Budgeter lets a plan request more than one injection per round. The
 // paper's ANDURIL performs a single injection per round (§3); the
@@ -210,6 +223,7 @@ type multiPlan struct {
 	plans   []Plan
 	fired   []int
 	budgets []int
+	c       carried
 }
 
 // planBudget is a plan's injection budget: a Budgeter's declared budget,
@@ -236,9 +250,14 @@ func Multi(plans ...Plan) Plan {
 	}
 	for i, sub := range plans {
 		p.budgets[i] = planBudget(sub)
+		c := planCarries(sub)
+		p.c.classes |= c.classes
+		p.c.paths = p.c.paths || c.paths
 	}
 	return p
 }
+
+func (p *multiPlan) carries() carried { return p.c }
 
 func (p *multiPlan) Decide(site string, occ int) bool {
 	for i, sub := range p.plans {
@@ -324,25 +343,11 @@ type Runtime struct {
 	// injection rounds can disable it to keep rounds cheap, as §7 does.
 	KeepTrace bool
 
-	// EnvEnabled opts the run into environment pseudo-sites (see env.go):
-	// when false — the default — ReachEnv neither counts nor traces, so
-	// site-only runs keep byte-identical traces and occurrence counts.
-	EnvEnabled bool
-
-	// envAuto force-activates env sites when the plan itself carries env
-	// instances, so replaying an env reproduction script needs no flag.
-	envAuto bool
-
-	// PartialEnabled opts the run into partial-failure pseudo-sites (see
-	// partial.go): when false — the default — ReachPartial neither counts
-	// nor traces, so runs without the partial class keep byte-identical
-	// traces and occurrence counts.
-	PartialEnabled bool
-
-	// partialAuto force-activates partial sites when the plan itself
-	// carries partial instances, so replaying a partial reproduction
-	// script needs no flag.
-	partialAuto bool
+	// active holds the classes whose pseudo-sites ReachPseudo counts,
+	// traces and injects (see Active/Enable): the classes the plan itself
+	// carries plus any the harness enables. By default none, so site-only
+	// runs keep byte-identical traces and occurrence counts.
+	active ClassSet
 
 	// PathEnabled opts the run into path-sensitive addressing: every
 	// reach is assigned a canonical PathAddr string built from the PathID/
@@ -373,15 +378,15 @@ func NewRuntime(plan Plan) *Runtime {
 		budget = b.Budget()
 	}
 	pd, _ := plan.(PathDecider)
+	c := planCarries(plan)
 	return &Runtime{
 		plan:      plan,
 		pathPlan:  pd,
 		budget:    budget,
 		sites:     make(map[string]*siteRec),
-		KeepTrace:   true,
-		envAuto:     PlanCarriesEnv(plan),
-		partialAuto: PlanCarriesPartial(plan),
-		pathAuto:    PlanCarriesPath(plan),
+		KeepTrace: true,
+		active:    c.classes,
+		pathAuto:  c.paths,
 	}
 }
 
@@ -435,7 +440,7 @@ func (r *Runtime) pathFor(site string) string {
 }
 
 // decide consults the plan for one reach. Every fault class — error
-// sites and env pseudo-sites alike — shares this single gate, so once
+// sites and pseudo-sites alike — shares this single gate, so once
 // the round's injection budget is spent no class consults the plan
 // again: one Decide stream per round, short-circuited uniformly.
 func (r *Runtime) decide(site string, occ int, path string) bool {
@@ -459,7 +464,7 @@ func (r *Runtime) record(site string, occ int, path string, inject bool) {
 	r.recordAmp(site, occ, path, inject, 0)
 }
 
-// recordAmp is record with an observed amplitude, used by the partial
+// recordAmp is record with an observed amplitude, used by the
 // pseudo-sites to carry the payload length of the perturbed call into
 // the free-run trace (the explorer calibrates candidate enumeration
 // from it).

@@ -21,34 +21,13 @@ import (
 	"strings"
 )
 
-// pairSitePrefix marks combined-fault pseudo-sites; ordinary dotted site
-// IDs and env/ pseudo-sites can never start with it.
-const pairSitePrefix = "pair/"
-
-// IsPairSite reports whether a site ID addresses a fault pair.
-func IsPairSite(site string) bool { return strings.HasPrefix(site, pairSitePrefix) }
-
 // PairSiteID builds the pseudo-site ID for an unordered pair of member
 // fault sites. The members are sorted so PairSiteID(a, b) == PairSiteID(b, a).
 func PairSiteID(a, b string) string {
 	if b < a {
 		a, b = b, a
 	}
-	return pairSitePrefix + a + "+" + b
-}
-
-// ParsePairSite splits a pair pseudo-site into its member site IDs, the
-// inverse of PairSiteID.
-func ParsePairSite(site string) (a, b string, ok bool) {
-	rest, found := strings.CutPrefix(site, pairSitePrefix)
-	if !found {
-		return "", "", false
-	}
-	a, b, ok = strings.Cut(rest, "+")
-	if !ok || a == "" || b == "" {
-		return "", "", false
-	}
-	return a, b, true
+	return classTable[ClassPair].prefix + a + "+" + b
 }
 
 // memberRef renders one pair member as a replayable reference.
@@ -90,7 +69,7 @@ func PairInstance(a, b Instance) Instance {
 // PairMembers decodes a pair Instance back into its two member
 // instances (ok false if inst is not a well-formed pair).
 func PairMembers(inst Instance) (a, b Instance, ok bool) {
-	if !IsPairSite(inst.Site) {
+	if ClassOf(inst.Site) != ClassPair {
 		return Instance{}, Instance{}, false
 	}
 	ra, rb, found := strings.Cut(inst.Path, "+")
@@ -118,12 +97,20 @@ type PairPlan struct {
 	pairs     [][2]Instance // rank order, best first
 	committed int           // index into pairs, -1 until the first member fires
 	fired     [2]bool
+	c         carried // what the members address
 }
 
 // PairWindow returns a plan arming the given pairs, best-ranked first.
 func PairWindow(pairs [][2]Instance) *PairPlan {
-	return &PairPlan{pairs: pairs, committed: -1}
+	p := &PairPlan{pairs: pairs, committed: -1}
+	for _, pr := range pairs {
+		p.c.add(pr[0])
+		p.c.add(pr[1])
+	}
+	return p
 }
+
+func (p *PairPlan) carries() carried { return p.c }
 
 // matchMember reports whether a reach matches one member instance.
 func matchMember(m Instance, site string, occ int, path string) bool {
@@ -176,36 +163,3 @@ func (p *PairPlan) Reset() {
 // Committed reports which armed pair (by rank index) the run committed
 // to, once any member has fired.
 func (p *PairPlan) Committed() (int, bool) { return p.committed, p.committed >= 0 }
-
-func (p *PairPlan) carriesEnv() bool {
-	for i := range p.pairs {
-		for j := 0; j < 2; j++ {
-			if IsEnvSite(p.pairs[i][j].Site) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (p *PairPlan) carriesPartial() bool {
-	for i := range p.pairs {
-		for j := 0; j < 2; j++ {
-			if IsPartialSite(p.pairs[i][j].Site) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func (p *PairPlan) carriesPath() bool {
-	for i := range p.pairs {
-		for j := 0; j < 2; j++ {
-			if p.pairs[i][j].Path != "" {
-				return true
-			}
-		}
-	}
-	return false
-}

@@ -102,12 +102,12 @@ func parsePathTerminal(s string) (site string, n int, ok bool) {
 // PathAddr.String. Env pseudo-sites (which may contain '>' in their
 // channel IDs) are recognized first and parsed as an edge-less terminal.
 func ParsePathAddr(s string) (PathAddr, bool) {
-	if IsEnvSite(s) {
+	if ClassOf(s) == ClassEnv {
 		site, n, ok := parsePathTerminal(s)
 		if !ok {
 			return PathAddr{}, false
 		}
-		if _, ok := ParseEnvSite(site); !ok {
+		if _, ok := ParsePseudoSite(site); !ok {
 			return PathAddr{}, false
 		}
 		return PathAddr{Site: site, N: n}, true
@@ -146,37 +146,4 @@ func ParsePathAddr(s string) (PathAddr, bool) {
 // mixed plans).
 type PathDecider interface {
 	DecidePath(site string, occurrence int, path string) bool
-}
-
-// pathCarrier is implemented by plans that can report whether any of
-// their candidate instances is path-addressed.
-type pathCarrier interface{ carriesPath() bool }
-
-func (p exactPlan) carriesPath() bool { return p.inst.Path != "" }
-
-func (p windowPlan) carriesPath() bool { return len(p.byPath) > 0 }
-
-func (p *multiPlan) carriesPath() bool {
-	for _, sub := range p.plans {
-		if PlanCarriesPath(sub) {
-			return true
-		}
-	}
-	return false
-}
-
-// PlanCarriesPath reports whether a plan's candidates include any
-// path-addressed instance, so replaying a path-addressed reproduction
-// script auto-enables path bookkeeping without extra wiring. Plans that
-// implement neither check nor PathDecider cannot use paths, so they
-// conservatively report false and run in plain occurrence mode.
-func PlanCarriesPath(p Plan) bool {
-	if p == nil {
-		return false
-	}
-	if c, ok := p.(pathCarrier); ok {
-		return c.carriesPath()
-	}
-	_, isPD := p.(PathDecider)
-	return isPD
 }

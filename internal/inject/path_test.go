@@ -14,9 +14,9 @@ import (
 func genPathAddr(r *rand.Rand) PathAddr {
 	labels := []string{"client.put", "coord.write", "dyn.store.persist", "a", "x.y.z-w"}
 	if r.Intn(4) == 0 {
-		site := EnvSiteID(EnvCrash, "n1", "")
+		site := PseudoSiteID(EnvCrash, "n1", "")
 		if r.Intn(2) == 0 {
-			site = EnvSiteID(EnvPartition, "n1", "n2")
+			site = PseudoSiteID(EnvPartition, "n1", "n2")
 		}
 		return PathAddr{Site: site, N: r.Intn(9) + 1}
 	}
@@ -91,7 +91,7 @@ func TestPairInstanceRoundTrip(t *testing.T) {
 	}
 	for _, c := range cases {
 		pi := PairInstance(c[0], c[1])
-		if !IsPairSite(pi.Site) {
+		if ClassOf(pi.Site) != ClassPair {
 			t.Fatalf("pair site %q not recognized", pi.Site)
 		}
 		a, b, ok := PairMembers(pi)
@@ -127,17 +127,17 @@ func (p *countingPlan) Decide(site string, occ int) bool {
 // error sites and env pseudo-sites. Once the budget is spent on either
 // class, reaches of the other class must not consult the plan.
 func TestUniformDecideShortCircuit(t *testing.T) {
-	envSite := EnvSiteID(EnvCrash, "n1", "")
+	envSite := PseudoSiteID(EnvCrash, "n1", "")
 
 	t.Run("site injection silences env reaches", func(t *testing.T) {
 		p := &countingPlan{target: Instance{Site: "a.x", Occurrence: 1}}
 		r := NewRuntime(p)
-		r.EnvEnabled = true
+		r.Enable(SetOf(ClassEnv))
 		if err := r.Reach("a.x", IO); err == nil {
 			t.Fatal("target reach did not inject")
 		}
 		before := p.calls
-		if _, ok := r.ReachEnv(envSite); ok {
+		if _, ok := r.ReachPseudo(envSite, 0); ok {
 			t.Fatal("env reach injected after the budget was spent")
 		}
 		if err := r.Reach("a.x", IO); err != nil {
@@ -151,15 +151,15 @@ func TestUniformDecideShortCircuit(t *testing.T) {
 	t.Run("env injection silences site reaches", func(t *testing.T) {
 		p := &countingPlan{target: Instance{Site: envSite, Occurrence: 1}}
 		r := NewRuntime(p)
-		r.EnvEnabled = true
-		if _, ok := r.ReachEnv(envSite); !ok {
+		r.Enable(SetOf(ClassEnv))
+		if _, ok := r.ReachPseudo(envSite, 0); !ok {
 			t.Fatal("target env reach did not inject")
 		}
 		before := p.calls
 		if err := r.Reach("a.x", IO); err != nil {
 			t.Fatal("site reach injected after the budget was spent")
 		}
-		if _, ok := r.ReachEnv(envSite); ok {
+		if _, ok := r.ReachPseudo(envSite, 0); ok {
 			t.Fatal("second env reach injected after the budget was spent")
 		}
 		if p.calls != before {

@@ -16,15 +16,15 @@
 // # Partial failures
 //
 // Beyond the all-or-nothing injected faults of Reach, the disk executes
-// the partial-failure pseudo-sites of inject/partial.go: a *short write*
+// the disk kinds of the inject pseudo-site table: a *short write*
 // persists the first half of the data and then fails, *enospc-after*
 // appends the first half of the data and then reports no space, and a
 // *torn rename* copies the content to the destination while leaving the
 // source in place. Each perturbable operation reaches its partial
 // pseudo-sites in a fixed order after the operation's own site, so
 // occurrence j of partial/disk/short-write/S deterministically names the
-// j-th write at site S. The sweep is gated on PartialActive, so runs
-// without the partial class build no pseudo-site strings and count
+// j-th write at site S. The sweep is gated on Active(ClassPartial), so
+// runs without the partial class build no pseudo-site strings and count
 // nothing extra.
 package simdisk
 
@@ -68,9 +68,9 @@ func (d *Disk) partialIDs(site string) *partialSiteIDs {
 	ids := d.partial[site]
 	if ids == nil {
 		ids = &partialSiteIDs{
-			shortWrite: inject.PartialSiteID(inject.PartialShortWrite, site, ""),
-			enospc:     inject.PartialSiteID(inject.PartialENOSPC, site, ""),
-			torn:       inject.PartialSiteID(inject.PartialTornRename, site, ""),
+			shortWrite: inject.PseudoSiteID(inject.PartialShortWrite, site, ""),
+			enospc:     inject.PseudoSiteID(inject.PartialENOSPC, site, ""),
+			torn:       inject.PseudoSiteID(inject.PartialTornRename, site, ""),
 		}
 		if d.partial == nil {
 			d.partial = make(map[string]*partialSiteIDs)
@@ -82,11 +82,11 @@ func (d *Disk) partialIDs(site string) *partialSiteIDs {
 
 // partialFault logs the fired fault's marker line and builds its error
 // value.
-func (d *Disk) partialFault(f inject.PartialFault) error {
-	if m, ok := inject.PartialMarker(f.Site()); ok && d.log != nil {
-		d.log.Warnf("%s", m)
+func (d *Disk) partialFault(f inject.PseudoFault) error {
+	if d.log != nil {
+		d.log.Warnf("%s", f.Marker())
 	}
-	return &inject.Fault{Kind: inject.PartialKind(f.Class), Site: f.Site(), Occurrence: f.Occurrence}
+	return &inject.Fault{Kind: f.Pseudo.Kind(), Site: f.Site(), Occurrence: f.Occurrence}
 }
 
 // Create makes an empty file (truncating any previous content). site is the
@@ -124,13 +124,13 @@ func (d *Disk) Append(site, path string, data []byte) error {
 	if err := d.fi.Reach(site, inject.IO); err != nil {
 		return err
 	}
-	if d.fi.PartialActive() {
+	if d.fi.Active(inject.ClassPartial) {
 		ids := d.partialIDs(site)
-		if f, ok := d.fi.ReachPartial(ids.shortWrite, len(data)); ok {
+		if f, ok := d.fi.ReachPseudo(ids.shortWrite, len(data)); ok {
 			d.appendBytes(path, data[:len(data)/2])
 			return d.partialFault(f)
 		}
-		if f, ok := d.fi.ReachPartial(ids.enospc, len(data)); ok {
+		if f, ok := d.fi.ReachPseudo(ids.enospc, len(data)); ok {
 			d.appendBytes(path, data[:len(data)/2])
 			return d.partialFault(f)
 		}
@@ -145,8 +145,8 @@ func (d *Disk) Write(site, path string, data []byte) error {
 	if err := d.fi.Reach(site, inject.IO); err != nil {
 		return err
 	}
-	if d.fi.PartialActive() {
-		if f, ok := d.fi.ReachPartial(d.partialIDs(site).shortWrite, len(data)); ok {
+	if d.fi.Active(inject.ClassPartial) {
+		if f, ok := d.fi.ReachPseudo(d.partialIDs(site).shortWrite, len(data)); ok {
 			d.files[path] = append([]byte(nil), data[:len(data)/2]...)
 			return d.partialFault(f)
 		}
@@ -186,8 +186,8 @@ func (d *Disk) Rename(site, oldPath, newPath string) error {
 	if !ok {
 		return &inject.Fault{Kind: inject.FileNotFound, Site: "env.disk.missing"}
 	}
-	if d.fi.PartialActive() {
-		if f, ok := d.fi.ReachPartial(d.partialIDs(site).torn, len(data)); ok {
+	if d.fi.Active(inject.ClassPartial) {
+		if f, ok := d.fi.ReachPseudo(d.partialIDs(site).torn, len(data)); ok {
 			d.files[newPath] = data
 			return d.partialFault(f)
 		}

@@ -108,11 +108,11 @@ func (n *Net) channelEnvIDs(from, to string) *envChannelIDs {
 		return ids
 	}
 	ids := &envChannelIDs{
-		crashFrom: inject.EnvSiteID(inject.EnvCrash, from, ""),
-		crashTo:   inject.EnvSiteID(inject.EnvCrash, to, ""),
-		partition: inject.EnvSiteID(inject.EnvPartition, from, to),
-		drop:      inject.EnvSiteID(inject.EnvDrop, from, to),
-		delay:     inject.EnvSiteID(inject.EnvDelay, from, to),
+		crashFrom: inject.PseudoSiteID(inject.EnvCrash, from, ""),
+		crashTo:   inject.PseudoSiteID(inject.EnvCrash, to, ""),
+		partition: inject.PseudoSiteID(inject.EnvPartition, from, to),
+		drop:      inject.PseudoSiteID(inject.EnvDrop, from, to),
+		delay:     inject.PseudoSiteID(inject.EnvDelay, from, to),
 	}
 	n.envIDs[key] = ids
 	return ids
@@ -183,33 +183,33 @@ func (n *Net) reachability(from, to string) error {
 // reports the message-level effect: drop the message silently, or add
 // extra delivery latency. Crash and partition effects are not returned;
 // they land in the down/partitioned state that reachability reads next.
-// When env faults are disabled for the run every ReachEnv is a no-op.
+// When env faults are disabled for the run every ReachPseudo is a no-op.
 func (n *Net) applyEnv(from, to string) (drop bool, extra des.Time) {
-	if !n.fi.EnvActive() {
-		// Every ReachEnv below would be a no-op; skip the sweep (and the
+	if !n.fi.Active(inject.ClassEnv) {
+		// Every ReachPseudo below would be a no-op; skip the sweep (and the
 		// site-ID construction) entirely on site-only runs.
 		return false, 0
 	}
 	ids := n.channelEnvIDs(from, to)
-	if f, ok := n.fi.ReachEnv(ids.crashFrom); ok {
+	if f, ok := n.fi.ReachPseudo(ids.crashFrom, 0); ok {
 		n.crashNode(f)
 		return true, 0 // the sender died mid-send; the message is lost with it
 	}
 	if to != from {
-		if f, ok := n.fi.ReachEnv(ids.crashTo); ok {
+		if f, ok := n.fi.ReachPseudo(ids.crashTo, 0); ok {
 			n.crashNode(f) // reachability sees the receiver down
 		}
-		if f, ok := n.fi.ReachEnv(ids.partition); ok {
+		if f, ok := n.fi.ReachPseudo(ids.partition, 0); ok {
 			n.cutPair(f) // reachability sees the fresh cut
 		}
 	}
-	if f, ok := n.fi.ReachEnv(ids.drop); ok {
+	if f, ok := n.fi.ReachPseudo(ids.drop, 0); ok {
 		n.logMarker(f)
 		return true, 0
 	}
-	if f, ok := n.fi.ReachEnv(ids.delay); ok {
+	if f, ok := n.fi.ReachPseudo(ids.delay, 0); ok {
 		n.logMarker(f)
-		return false, f.Duration
+		return false, f.Pseudo.Duration()
 	}
 	return false, 0
 }
@@ -218,7 +218,7 @@ func (n *Net) applyEnv(from, to string) (drop bool, extra des.Time) {
 func (n *Net) eintrSiteID(site string) string {
 	id, ok := n.eintrIDs[site]
 	if !ok {
-		id = inject.PartialSiteID(inject.PartialEINTR, site, "")
+		id = inject.PseudoSiteID(inject.PartialEINTR, site, "")
 		n.eintrIDs[site] = id
 	}
 	return id
@@ -229,7 +229,7 @@ func (n *Net) dupSiteID(from, to string) string {
 	key := [2]string{from, to}
 	id, ok := n.dupIDs[key]
 	if !ok {
-		id = inject.PartialSiteID(inject.PartialDupDeliver, from, to)
+		id = inject.PseudoSiteID(inject.PartialDupDeliver, from, to)
 		n.dupIDs[key] = id
 	}
 	return id
@@ -244,49 +244,36 @@ func (n *Net) dupSiteID(from, to string) string {
 // effect: a sender-side InterruptedError (the message is still
 // delivered — the bytes were already on the wire), or a duplicated
 // delivery. When partial faults are disabled for the run every
-// ReachPartial is a no-op and the sweep is skipped entirely.
+// ReachPseudo is a no-op and the sweep is skipped entirely.
 func (n *Net) applyPartial(site, from, to string) (err error, dup bool) {
-	if !n.fi.PartialActive() {
+	if !n.fi.Active(inject.ClassPartial) {
 		return nil, false
 	}
-	if f, ok := n.fi.ReachPartial(n.eintrSiteID(site), 0); ok {
-		n.logPartialMarker(f)
-		return &inject.Fault{Kind: inject.Interrupted, Site: f.Site(), Occurrence: f.Occurrence}, false
+	if f, ok := n.fi.ReachPseudo(n.eintrSiteID(site), 0); ok {
+		n.logMarker(f)
+		return &inject.Fault{Kind: f.Pseudo.Kind(), Site: f.Site(), Occurrence: f.Occurrence}, false
 	}
-	if f, ok := n.fi.ReachPartial(n.dupSiteID(from, to), 0); ok {
-		n.logPartialMarker(f)
+	if f, ok := n.fi.ReachPseudo(n.dupSiteID(from, to), 0); ok {
+		n.logMarker(f)
 		return nil, true
 	}
 	return nil, false
 }
 
-// logPartialMarker emits the injection marker line for an executed
-// partial fault; like logMarker, the text comes from the inject package
-// so the explorer's marker-match ranking sees exactly what is logged.
-func (n *Net) logPartialMarker(f inject.PartialFault) {
-	if m, ok := inject.PartialMarker(f.Site()); ok {
-		n.log.Warnf("%s", m)
-	}
-}
-
-// logMarker emits the injection marker line for an executed env fault.
-// The text comes from inject.EnvMarker so the explorer's marker-match
-// ranking sees exactly what the network logs.
-func (n *Net) logMarker(f inject.EnvFault) {
-	if m, ok := inject.EnvMarker(f.Site()); ok {
-		n.log.Warnf("%s", m)
-	}
-}
+// logMarker emits the injection marker line for an executed env or
+// partial fault. The text comes from the inject kind table so the
+// explorer's marker-match ranking sees exactly what the network logs.
+func (n *Net) logMarker(f inject.PseudoFault) { n.log.Warnf("%s", f.Marker()) }
 
 // crashNode executes an injected crash fault.
-func (n *Net) crashNode(f inject.EnvFault) {
+func (n *Net) crashNode(f inject.PseudoFault) {
 	n.logMarker(f)
 	if n.OnCrash != nil {
-		n.OnCrash(f.Subject, f.Duration)
+		n.OnCrash(f.Subject, f.Pseudo.Duration())
 		return
 	}
 	n.down[f.Subject] = true
-	n.sim.Post("env-restart", f.Duration, func() {
+	n.sim.Post("env-restart", f.Pseudo.Duration(), func() {
 		n.down[f.Subject] = false
 		n.log.Infof("env: node %s restarted", f.Subject)
 	})
@@ -294,10 +281,10 @@ func (n *Net) crashNode(f inject.EnvFault) {
 
 // cutPair executes an injected partition fault: a symmetric cut that
 // heals itself after the fault's duration.
-func (n *Net) cutPair(f inject.EnvFault) {
+func (n *Net) cutPair(f inject.PseudoFault) {
 	n.logMarker(f)
 	n.Partition(f.Subject, f.Peer, true)
-	n.sim.Post("env-heal", f.Duration, func() {
+	n.sim.Post("env-heal", f.Pseudo.Duration(), func() {
 		n.Partition(f.Subject, f.Peer, false)
 		n.log.Infof("env: partition %s/%s healed", f.Subject, f.Peer)
 	})
