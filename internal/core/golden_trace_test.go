@@ -137,6 +137,20 @@ func TestTraceDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
+// checkClassDeterministic runs one family's golden scenarios through
+// checkDeterministic, occurrence-addressed.
+func checkClassDeterministic(t *testing.T, family string) {
+	for _, id := range classGoldens[family] {
+		checkDeterministic(t, id, core.AddrOccurrence)
+	}
+}
+
+// The per-family determinism checks run one fault-class family on its
+// own, for the targeted chaos checks.
+func TestDynTraceDeterministic(t *testing.T)     { checkClassDeterministic(t, "dyn") }
+func TestPairTraceDeterministic(t *testing.T)    { checkClassDeterministic(t, "pair") }
+func TestPartialTraceDeterministic(t *testing.T) { checkClassDeterministic(t, "partial") }
+
 // TestEnvTraceDeterminism runs the env-rooted subset on its own, for
 // the targeted chaos checks.
 func TestEnvTraceDeterminism(t *testing.T) {
