@@ -106,26 +106,11 @@ const (
 // ("" selects the default occurrence mode).
 func ValidAddressing(a string) bool { return core.ValidAddressing(a) }
 
-// Strategies lists every registered strategy in registration order (the
-// built-ins follow Table 2 column order).
+// Strategies lists every strategy in Table 2 column order.
 func Strategies() []Strategy { return core.Strategies() }
 
-// StrategyRegistered reports whether a strategy name is registered.
-func StrategyRegistered(name Strategy) bool { return core.StrategyRegistered(name) }
-
-// Explorer is a pluggable exploration strategy; see RegisterStrategy.
-type Explorer = core.Explorer
-
-// Search is the prepared search surface handed to an Explorer.
-type Search = core.Search
-
-// QueueFunc adapts a fixed-queue enumeration into an Explorer.
-type QueueFunc = core.QueueFunc
-
-// RegisterStrategy registers a custom Explorer under a new strategy name;
-// it then works everywhere a built-in strategy does (Options.Strategy, the
-// eval tables, the CLIs). Call it from an init function.
-func RegisterStrategy(name Strategy, impl Explorer) { core.RegisterStrategy(name, impl) }
+// ValidStrategy reports whether a strategy name is recognized.
+func ValidStrategy(s string) bool { return core.ValidStrategy(s) }
 
 // Reproduce runs the explorer until the oracle is satisfied, the fault
 // space is exhausted, or the round cap is hit (workflow steps 1–5 of §3).

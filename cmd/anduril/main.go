@@ -66,7 +66,7 @@ func usageErr(format string, args ...any) {
 func main() {
 	var (
 		list      = flag.Bool("list", false, "list the dataset failures and exit")
-		listStrat = flag.Bool("list-strategies", false, "list the registered exploration strategies and exit")
+		listStrat = flag.Bool("list-strategies", false, "list the exploration strategies and exit")
 		failure   = flag.String("failure", "", "dataset failure to reproduce (f1..f34 or issue id)")
 		strategy  = flag.String("strategy", string(anduril.FullFeedback), "exploration strategy (see -list-strategies)")
 		seed      = flag.Int64("seed", 1, "master seed (round r runs with seed+r)")
@@ -140,7 +140,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if !anduril.StrategyRegistered(anduril.Strategy(*strategy)) {
+	if !anduril.ValidStrategy(*strategy) {
 		fmt.Fprintf(os.Stderr, "anduril: unknown strategy %q; valid strategies: %s\n",
 			*strategy, strategyNames())
 		os.Exit(2)

@@ -1,11 +1,12 @@
 // Command replay executes a reproduction script produced by
 // `anduril -script-out` (workflow step 4.a): it re-runs the failure's
 // workload with the scripted fault(s) injected deterministically, checks
-// the oracle, and prints the failure log around the injection.
+// the oracle, and prints the failure log around the injection. The replay
+// runs under the seed recorded in the script unless -seed overrides it.
 //
 // Usage:
 //
-//	replay -failure f17 -script f17.json [-seed 1] [-tail 15]
+//	replay -failure f17 -script f17.json [-seed N] [-tail 15]
 package main
 
 import (
@@ -17,14 +18,15 @@ import (
 	"anduril"
 	"anduril/internal/cluster"
 	"anduril/internal/core"
+	"anduril/internal/inject"
 	"anduril/internal/logging"
 )
 
 func main() {
 	var (
-		failure = flag.String("failure", "", "dataset failure the script belongs to (f1..f22)")
+		failure = flag.String("failure", "", "dataset failure the script belongs to (f1..f34 or issue id)")
 		script  = flag.String("script", "", "reproduction script JSON (from anduril -script-out)")
-		seed    = flag.Int64("seed", 1, "seed of the replay environment")
+		seed    = flag.Int64("seed", 0, "seed of the replay environment (default: the seed recorded in the script)")
 		tail    = flag.Int("tail", 15, "failure-log lines to print")
 	)
 	flag.Parse()
@@ -46,12 +48,18 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	fmt.Printf("replaying %s (%s) with %d scripted fault(s):\n", target.ID, target.Issue, len(sf.Faults))
+	runSeed := sf.Seed
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "seed" {
+			runSeed = *seed
+		}
+	})
+	fmt.Printf("replaying %s (%s) under seed %d with %d scripted fault(s):\n", target.ID, target.Issue, runSeed, len(sf.Faults))
 	for _, f := range sf.Faults {
-		fmt.Printf("  %s at occurrence %d\n", f.Site, f.Occurrence)
+		fmt.Printf("  %s\n", describe(f))
 	}
 
-	res := cluster.Execute(*seed, sf.Plan(), false, target.Workload, target.Horizon)
+	res := cluster.Execute(runSeed, sf.Plan(), false, target.Workload, target.Horizon)
 	satisfied := target.Oracle.Satisfied(res)
 	fmt.Printf("oracle %q satisfied: %v\n", target.Oracle.Name, satisfied)
 	if len(res.Blocked) > 0 {
@@ -75,6 +83,18 @@ func main() {
 	if !satisfied {
 		os.Exit(1)
 	}
+}
+
+// describe renders one scripted fault the way its plan addresses it: a
+// pair by its two members, a path-addressed fault by its call path.
+func describe(f inject.Instance) string {
+	if a, b, ok := inject.PairMembers(f); ok {
+		return "fault pair: " + describe(a) + " and " + describe(b)
+	}
+	if f.Path != "" {
+		return "at path " + f.Path
+	}
+	return fmt.Sprintf("%s at occurrence %d", f.Site, f.Occurrence)
 }
 
 func fail(err error) {

@@ -134,7 +134,7 @@ func WithFaultClasses(s inject.ClassSet) ExecOption {
 func WithPathAddressing() ExecOption {
 	return func(e *Env) {
 		e.Sim.EnablePathTracking()
-		e.FI.PathEnabled = true
+		e.FI.EnablePaths()
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package core implements ANDURIL's Explorer (§5): the feedback-driven
+// Package core implements ANDURIL's explorer (§5): the feedback-driven
 // search over the fault space for the root-cause fault and timing.
 //
 // A reproduction run follows the workflow of §3: one free run of the
@@ -13,7 +13,7 @@
 //
 // The package also implements the five ablation variants of §8.3 and the
 // comparison systems of §8.4 (FATE, CrashTuner, stacktrace-injector, plus
-// a chaos-style random injector) behind the same interface.
+// a chaos-style random injector) as further rows of one strategy table.
 package core
 
 import (
@@ -110,13 +110,12 @@ type Target struct {
 
 // Options tune the explorer.
 type Options struct {
-	Strategy      Strategy
-	Window        int   // initial flexible-window size k (§5.2.5); default 10
-	Adjust        int   // observable priority adjustment s (§5.2.1); default 1
-	MaxRounds     int   // round cap; default 2000
-	Seed          int64 // master seed; round r runs with Seed+r
-	InstanceLimit int   // per-site instance cap for the limited variants; default 3
-	TrackRank     bool  // record the root site's rank each round (Figure 6)
+	Strategy  Strategy
+	Window    int   // initial flexible-window size k (§5.2.5); default 10
+	Adjust    int   // observable priority adjustment s (§5.2.1); default 1
+	MaxRounds int   // round cap; default 2000
+	Seed      int64 // master seed; round r runs with Seed+r
+	TrackRank bool  // record the root site's rank each round (Figure 6)
 
 	// FaultClasses selects which fault classes the search explores:
 	// "site" (error-return sites, the paper's fault space), "env"
@@ -176,13 +175,6 @@ type Options struct {
 	// checkpoint names.
 	CheckpointFlush func(round int)
 
-	// EventBudget caps the DES events of a single trial run. A livelocked
-	// target (a zero-delay self-scheduling loop) never advances virtual
-	// time, so the time horizon alone cannot stop it; the budget is the
-	// watchdog that bounds the round, degrading it to inconclusive.
-	// Default DefaultEventBudget; negative means unlimited.
-	EventBudget int
-
 	// Context, when non-nil, cancels the search from outside: the engine
 	// checks it between rounds and the DES kernel polls it inside runs.
 	// A cancelled search returns with Report.Interrupted set and emits no
@@ -217,9 +209,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxRounds <= 0 {
 		o.MaxRounds = 2000
 	}
-	if o.InstanceLimit <= 0 {
-		o.InstanceLimit = 3
-	}
 	if o.RunsPerRound <= 0 {
 		o.RunsPerRound = 1
 	}
@@ -229,16 +218,16 @@ func (o Options) withDefaults() Options {
 	if o.Addressing == "" {
 		o.Addressing = AddrOccurrence
 	}
-	if o.EventBudget == 0 {
-		o.EventBudget = DefaultEventBudget
-	}
 	return o
 }
 
-// DefaultEventBudget is the per-trial DES event cap. The dataset's free
-// runs execute under ~2k events, so a million-event trial is a livelock,
-// not a slow run.
-const DefaultEventBudget = 1 << 20
+// eventBudget caps the DES events of a single trial run. A livelocked
+// target (a zero-delay self-scheduling loop) never advances virtual
+// time, so the time horizon alone cannot stop it; the budget is the
+// watchdog that bounds the round, degrading it to inconclusive. The
+// dataset's free runs execute under ~2k events, so a million-event trial
+// is a livelock, not a slow run.
+const eventBudget = 1 << 20
 
 // Round records one injection round.
 type Round struct {

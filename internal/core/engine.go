@@ -132,7 +132,7 @@ type siteState struct {
 // extraction and candidate discovery), ranking.go (site priorities and the
 // incremental priority index), selection.go (instance selection and the
 // flexible window), feedback.go (the Algorithm 2 loop), and strategies.go
-// (the strategy registry and the enumerative baselines).
+// (the strategy table and the enumerative baselines).
 type engine struct {
 	t *Target
 	o Options
@@ -364,10 +364,8 @@ func (e *engine) isBaked(ev inject.TraceEvent) bool {
 	return false
 }
 
-// run executes the whole workflow: free run, setup, then the strategy
-// resolved from the registry. An unregistered strategy explores nothing
-// and reports the fault space exhausted after zero rounds (callers are
-// expected to validate names against Strategies() up front).
+// run executes the whole workflow: free run, setup, then the strategy's
+// exploration (see explore).
 func (e *engine) run() *Report {
 	start := time.Now()
 	if err := e.prepare(); err != nil {
@@ -405,13 +403,6 @@ func (e *engine) prepare() error {
 	e.freeRes = free
 	e.setup(free)
 	return nil
-}
-
-// explore dispatches the prepared search to the registered strategy.
-func (e *engine) explore() {
-	if impl, ok := lookupStrategy(e.o.Strategy); ok {
-		impl.Explore(&Search{e: e, free: e.freeRes})
-	}
 }
 
 // finish closes the report. An interrupted search emits no trace outcome:
@@ -457,11 +448,7 @@ func (e *engine) finish(start time.Time) {
 // trial runs the workload once under the engine's watchdogs: panic
 // recovery, the event budget, and the cancellation context.
 func (e *engine) trial(seed int64, plan inject.Plan, keepTrace bool) (*cluster.Result, error) {
-	budget := e.o.EventBudget
-	if budget < 0 {
-		budget = 0 // negative means unlimited
-	}
-	return cluster.TryExecute(e.ctx, seed, plan, keepTrace, e.t.Workload, e.t.Horizon, budget, e.execOpts...)
+	return cluster.TryExecute(e.ctx, seed, plan, keepTrace, e.t.Workload, e.t.Horizon, eventBudget, e.execOpts...)
 }
 
 // interrupted reports whether the search must stop before starting the
@@ -590,8 +577,7 @@ func (e *engine) recordInconclusive(a attempt, window int) {
 		e.markTried(*rd.Injected)
 	}
 	e.report.InconclusiveRounds++
-	e.report.RoundLog = append(e.report.RoundLog, *rd)
-	e.report.Rounds = rd.N
+	e.recordRound(rd)
 	if e.tracing() {
 		class, detail := failureClass(a.err)
 		ev := &trace.Event{Type: trace.Inconclusive, Round: rd.N, Class: class, Detail: detail}
@@ -608,6 +594,22 @@ func (e *engine) recordInconclusive(a attempt, window int) {
 		e.emit(ev)
 	}
 	e.maybeCheckpoint(rd.N, window)
+}
+
+// recordRound books a completed round in the report.
+func (e *engine) recordRound(rd *Round) {
+	e.report.RoundLog = append(e.report.RoundLog, *rd)
+	e.report.Rounds = rd.N
+}
+
+// reproduced books the round whose injection satisfied the oracle under
+// seed: the search's one success exit.
+func (e *engine) reproduced(rd *Round, seed int64) {
+	rd.Satisfied = true
+	e.recordRound(rd)
+	e.report.Reproduced = true
+	e.report.Script = rd.Injected
+	e.report.ScriptSeed = seed
 }
 
 func (e *engine) markTried(inst inject.Instance) {

@@ -15,14 +15,18 @@ import (
 )
 
 // feedbackSpec fixes the design-point of one feedback-family strategy.
-// The registered strategies differ only in these toggles; the ablation
-// knobs in Options (TemporalByOrder etc.) still apply on top.
+// The five such rows of the strategy table differ only in these toggles;
+// the ablation knobs in Options (TemporalByOrder etc.) still apply on top.
 type feedbackSpec struct {
 	useFeedback bool // apply Algorithm 2 priority adjustments
 	useTemporal bool // rank instances by temporal distance T_{i,j,k}
 	multiply    bool // §8.3 multiply-feedback pair ranking
-	limited     bool // cap instances per site at Options.InstanceLimit
+	limited     bool // cap instances per site at instanceLimit
 }
+
+// instanceLimit is the per-site instance cap of the limited variants
+// (§8.3).
+const instanceLimit = 3
 
 // feedbackLoop is the priority-driven exploration shared by ANDURIL and its
 // ablation variants.
@@ -31,7 +35,7 @@ func (e *engine) feedbackLoop(spec feedbackSpec) {
 	useTemporal := spec.useTemporal && !e.o.TemporalByOrder
 	limit := 0
 	if spec.limited {
-		limit = e.o.InstanceLimit
+		limit = instanceLimit
 	}
 	rk := e.newRanker(useFeedback)
 
@@ -110,8 +114,7 @@ func (e *engine) feedbackLoop(spec feedbackSpec) {
 				})
 			}
 			window = grown
-			e.report.RoundLog = append(e.report.RoundLog, *rd)
-			e.report.Rounds = round
+			e.recordRound(rd)
 			e.maybeCheckpoint(round, window)
 			continue
 		}
@@ -119,12 +122,7 @@ func (e *engine) feedbackLoop(spec feedbackSpec) {
 
 		if a.sat {
 			e.traceInjected(round, *rd.Injected, true)
-			rd.Satisfied = true
-			e.report.RoundLog = append(e.report.RoundLog, *rd)
-			e.report.Rounds = round
-			e.report.Reproduced = true
-			e.report.Script = rd.Injected
-			e.report.ScriptSeed = a.seed
+			e.reproduced(rd, a.seed)
 			return
 		}
 
@@ -150,12 +148,7 @@ func (e *engine) feedbackLoop(spec feedbackSpec) {
 			}
 			if sat2 {
 				e.traceInjected(round, *rd.Injected, true)
-				rd.Satisfied = true
-				e.report.RoundLog = append(e.report.RoundLog, *rd)
-				e.report.Rounds = round
-				e.report.Reproduced = true
-				e.report.Script = rd.Injected
-				e.report.ScriptSeed = seed
+				e.reproduced(rd, seed)
 				return
 			}
 			results = append(results, res2)
@@ -184,8 +177,7 @@ func (e *engine) feedbackLoop(spec feedbackSpec) {
 			e.report.BestPartial = rd.Injected
 			e.report.BestPartialMissing = missingCount
 		}
-		e.report.RoundLog = append(e.report.RoundLog, *rd)
-		e.report.Rounds = round
+		e.recordRound(rd)
 		e.maybeCheckpoint(round, window)
 	}
 }

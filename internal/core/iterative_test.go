@@ -73,6 +73,17 @@ func TestIterativeReproducesTwoFaultFailure(t *testing.T) {
 	if !core.VerifyMulti(tgt, iter.Scripts, 4321) {
 		t.Fatal("multi-fault script does not verify")
 	}
+	// The exported artifact records the last pass's reproducing seed.
+	script, err := core.ScriptOfIter(iter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := iter.Reports[len(iter.Reports)-1]; script.Seed != last.ScriptSeed {
+		t.Fatalf("script seed %d, last pass reproduced under %d", script.Seed, last.ScriptSeed)
+	}
+	if !core.VerifyMulti(tgt, script.Faults, script.Seed) {
+		t.Fatal("multi-fault script does not verify under its recorded seed")
+	}
 }
 
 func TestRunsPerRoundStillReproduces(t *testing.T) {

@@ -3,8 +3,8 @@ package core
 // Microbenchmarks for the ranking layer: the naive full recompute + full
 // re-sort per round against the incremental priority index. The workload
 // models a feedback round on a mid-sized target: a handful of observables
-// bumped, then one ranking. Baseline numbers are recorded in
-// BENCH_core_ranking.json at the repo root.
+// bumped, then one ranking. Numbers are recorded in
+// BENCH_core_hotpath.json at the repo root.
 
 import (
 	"math/rand"

@@ -1,10 +1,11 @@
 package core_test
 
-// Microbenchmarks for the resilience layer: the recover-wrapped trial
-// path is always on, so BenchmarkReproduce/baseline doubles as proof that
-// panic isolation costs nothing measurable, and the checkpointed variant
-// prices the worst-case checkpoint cadence (every round). Results are
-// recorded in BENCH_core_resilience.json.
+// Whole-search benchmarks: one full reproduction per iteration. The
+// recover-wrapped trial path is always on, so BenchmarkReproduce/baseline
+// doubles as proof that panic isolation costs nothing measurable, and the
+// checkpointed variant prices the worst-case checkpoint cadence (every
+// round). Every variant is recorded in BENCH_core_hotpath.json, whose
+// rows with a gate_benchtime are CI's allocation budgets.
 
 import (
 	"path/filepath"
@@ -47,9 +48,8 @@ func BenchmarkReproduce(b *testing.B) {
 	b.Run("path-addressing", func(b *testing.B) {
 		// Same search under AddrPath: prices the per-reach path
 		// bookkeeping (context tracking, canonical-string assembly, the
-		// per-site byPath index). Recorded in BENCH_core_addressing.json;
-		// the baseline variant above is the proof that none of it is paid
-		// in the default mode.
+		// per-site byPath index). The baseline variant above is the proof
+		// that none of it is paid in the default mode.
 		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
@@ -61,8 +61,8 @@ func BenchmarkReproduce(b *testing.B) {
 		// Same search with the partial class enabled: prices the partial
 		// sweep (per-operation pseudo-site reaches, ID caching, amplitude
 		// recording) on a search that still concludes in the site class.
-		// Recorded in BENCH_core_partial.json; the baseline variant above
-		// is the proof that none of it is paid in the default mode.
+		// The baseline variant above is the proof that none of it is paid
+		// in the default mode.
 		benchReproduce(b, "f4", func(int) core.Options {
 			return core.Options{
 				Strategy: core.FullFeedback, Seed: 1, MaxRounds: 60,
@@ -74,7 +74,7 @@ func BenchmarkReproduce(b *testing.B) {
 		// The heaviest search in the dataset: f30's 447-round pair search
 		// under default options, where per-round cost (pair ranking, dyn
 		// ring routing, the anti-entropy audit) dominates instead of the
-		// free run and setup. Recorded in BENCH_core_hotpath.json.
+		// free run and setup.
 		benchReproduce(b, "f30", func(int) core.Options {
 			return core.Options{Seed: 1}
 		})

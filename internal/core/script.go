@@ -10,12 +10,15 @@ import (
 
 // ScriptFile is the serializable reproduction artifact of workflow step
 // 4.a: everything needed to deterministically re-trigger the failure, plus
-// the provenance of the search that found it.
+// the provenance of the search that found it. Seed is the seed of the
+// reproducing run: the faults replay deterministically under it, not
+// under an arbitrary one.
 type ScriptFile struct {
 	Target      string            `json:"target"`
 	Issue       string            `json:"issue,omitempty"`
 	Strategy    Strategy          `json:"strategy"`
 	Faults      []inject.Instance `json:"faults"`
+	Seed        int64             `json:"seed"`
 	Rounds      int               `json:"rounds"`
 	Elapsed     string            `json:"elapsed"`
 	Observables int               `json:"relevant_observables"`
@@ -29,18 +32,7 @@ func ScriptOf(r *Report) (*ScriptFile, error) {
 	if r == nil || !r.Reproduced || r.Script == nil {
 		return nil, fmt.Errorf("core: no reproduction to export")
 	}
-	return &ScriptFile{
-		Target:      r.Target,
-		Issue:       r.Issue,
-		Strategy:    r.Strategy,
-		Faults:      []inject.Instance{*r.Script},
-		Rounds:      r.Rounds,
-		Elapsed:     r.Elapsed.Round(time.Microsecond).String(),
-		Observables: r.RelevantObservables,
-		Sites:       r.CandidateSites,
-		Instances:   r.CandidateInstances,
-		GeneratedBy: "anduril (feedback-driven fault injection)",
-	}, nil
+	return newScript([]*Report{r}, []inject.Instance{*r.Script}, "anduril (feedback-driven fault injection)"), nil
 }
 
 // ScriptOfIter extracts the multi-fault artifact of an iterative run.
@@ -48,31 +40,32 @@ func ScriptOfIter(r *IterReport) (*ScriptFile, error) {
 	if r == nil || !r.Reproduced || len(r.Scripts) == 0 {
 		return nil, fmt.Errorf("core: no reproduction to export")
 	}
-	last := r.Reports[len(r.Reports)-1]
-	rounds := 0
-	for _, rep := range r.Reports {
-		rounds += rep.Rounds
-	}
-	return &ScriptFile{
+	return newScript(r.Reports, r.Scripts, "anduril (iterative multi-fault mode)"), nil
+}
+
+// newScript builds the artifact of the search passes that reproduced the
+// failure with the given faults. The last pass reproduced it, so its seed
+// and candidate space describe the script; rounds and time add up.
+func newScript(passes []*Report, faults []inject.Instance, generatedBy string) *ScriptFile {
+	last := passes[len(passes)-1]
+	s := &ScriptFile{
 		Target:      last.Target,
 		Issue:       last.Issue,
 		Strategy:    last.Strategy,
-		Faults:      append([]inject.Instance(nil), r.Scripts...),
-		Rounds:      rounds,
-		Elapsed:     sumElapsed(r.Reports).Round(time.Microsecond).String(),
+		Faults:      append([]inject.Instance(nil), faults...),
+		Seed:        last.ScriptSeed,
 		Observables: last.RelevantObservables,
 		Sites:       last.CandidateSites,
 		Instances:   last.CandidateInstances,
-		GeneratedBy: "anduril (iterative multi-fault mode)",
-	}, nil
-}
-
-func sumElapsed(reports []*Report) time.Duration {
-	var total time.Duration
-	for _, r := range reports {
-		total += r.Elapsed
+		GeneratedBy: generatedBy,
 	}
-	return total
+	var elapsed time.Duration
+	for _, rep := range passes {
+		s.Rounds += rep.Rounds
+		elapsed += rep.Elapsed
+	}
+	s.Elapsed = elapsed.Round(time.Microsecond).String()
+	return s
 }
 
 // Marshal renders the artifact as indented JSON.

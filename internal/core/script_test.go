@@ -38,6 +38,36 @@ func TestScriptRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScriptCarriesSeed: f3's fault reproduces only under the seed of its
+// reproducing round (2, not the master seed 1), so the script must carry
+// that seed through Marshal and LoadScript for a replay to reproduce.
+func TestScriptCarriesSeed(t *testing.T) {
+	tgt := target(t, "f3")
+	rep := core.Reproduce(tgt, core.Options{Seed: 1})
+	if !rep.Reproduced {
+		t.Fatal("f3 not reproduced")
+	}
+	script, err := core.ScriptOf(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := script.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := core.LoadScript(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Seed != rep.ScriptSeed {
+		t.Fatalf("loaded script seed %d, reproducing round ran under %d", loaded.Seed, rep.ScriptSeed)
+	}
+	res := cluster.Execute(loaded.Seed, loaded.Plan(), false, tgt.Workload, tgt.Horizon)
+	if !tgt.Oracle.Satisfied(res) {
+		t.Fatalf("loaded plan does not reproduce under the script's seed %d", loaded.Seed)
+	}
+}
+
 func TestScriptOfFailure(t *testing.T) {
 	if _, err := core.ScriptOf(&core.Report{}); err == nil {
 		t.Fatal("expected error for unreproduced report")

@@ -1,109 +1,76 @@
 package core
 
-// The strategy registry. Every exploration algorithm — complete ANDURIL,
-// the §8.3 ablation variants, and the §8.4 comparison systems — is an
-// Explorer registered under its Strategy name; the engine dispatches
-// through the registry and never switches on the strategy itself. External
-// packages may register additional strategies with RegisterStrategy.
+// The strategy table. Every exploration algorithm — complete ANDURIL,
+// the §8.3 ablation variants, and the §8.4 comparison systems — is one
+// row, in Table 2 column order. A feedback-family row runs the
+// Algorithm 2 loop at its feedbackSpec design point; an enumerative row
+// builds its whole injection queue from the prepared search and runs the
+// shared single-injection loop over it.
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 
 	"anduril/internal/inject"
 )
 
-// Explorer is one exploration strategy. Explore drives the prepared search
-// to completion: it is handed the Search after the free run and setup, and
-// returns when the failure is reproduced, the fault space is exhausted, or
-// the round cap is hit.
-type Explorer interface {
-	Explore(s *Search)
+// strategyRow is one strategy: queue is nil for the feedback family.
+type strategyRow struct {
+	name     Strategy
+	feedback feedbackSpec
+	queue    func(e *engine) []inject.Instance
 }
 
-// QueueFunc adapts an enumerative strategy — one that fixes its whole
-// injection queue up front — into an Explorer driven by the shared
-// single-injection round loop.
-type QueueFunc func(s *Search) []inject.Instance
-
-// Explore builds the queue and enumerates it.
-func (f QueueFunc) Explore(s *Search) { s.Enumerate(f(s)) }
-
-var (
-	registryMu    sync.RWMutex
-	registry      = map[Strategy]Explorer{}
-	registryOrder []Strategy
-)
-
-// RegisterStrategy registers an Explorer under a strategy name. It panics
-// on a duplicate or empty name — registration happens at init time, where
-// a bad registration is a programming error. Strategies() reports names in
-// registration order.
-func RegisterStrategy(name Strategy, impl Explorer) {
-	if name == "" {
-		panic("core: RegisterStrategy with empty strategy name")
-	}
-	if impl == nil {
-		panic("core: RegisterStrategy with nil Explorer")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("core: strategy %q registered twice", name))
-	}
-	registry[name] = impl
-	registryOrder = append(registryOrder, name)
+var strategyTable = [...]strategyRow{
+	{name: FullFeedback, feedback: feedbackSpec{useFeedback: true, useTemporal: true}},
+	{name: Exhaustive, queue: exhaustiveQueue},
+	{name: SiteDistance},
+	{name: SiteDistanceLimit, feedback: feedbackSpec{limited: true}},
+	{name: SiteFeedback, feedback: feedbackSpec{useFeedback: true, limited: true}},
+	{name: MultiplyFeedback, feedback: feedbackSpec{useFeedback: true, useTemporal: true, multiply: true}},
+	{name: FATE, queue: fateQueue},
+	{name: CrashTuner, queue: crashTunerQueue},
+	{name: StackTrace, queue: stackTraceQueue},
+	{name: Random, queue: randomQueue},
 }
 
-// Strategies lists every registered strategy in registration order. The
-// built-ins register in Table 2 column order: FullFeedback first, then the
-// §8.3 ablations, then the §8.4 baselines.
+// Strategies lists every strategy in Table 2 column order: FullFeedback
+// first, then the §8.3 ablations, then the §8.4 baselines.
 func Strategies() []Strategy {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]Strategy, len(registryOrder))
-	copy(out, registryOrder)
+	out := make([]Strategy, len(strategyTable))
+	for i, row := range strategyTable {
+		out[i] = row.name
+	}
 	return out
 }
 
-// StrategyRegistered reports whether a strategy name is registered.
-func StrategyRegistered(name Strategy) bool {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	_, ok := registry[name]
-	return ok
+// ValidStrategy reports whether a strategy name is recognized (for CLI
+// validation).
+func ValidStrategy(s string) bool {
+	for _, row := range strategyTable {
+		if string(row.name) == s {
+			return true
+		}
+	}
+	return false
 }
 
-func lookupStrategy(name Strategy) (Explorer, bool) {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	impl, ok := registry[name]
-	return impl, ok
-}
-
-// feedbackExplorer runs the Algorithm 2 loop at one feedbackSpec design
-// point. The five feedback-family strategies are five specs.
-type feedbackExplorer struct {
-	spec feedbackSpec
-}
-
-func (f feedbackExplorer) Explore(s *Search) { s.e.feedbackLoop(f.spec) }
-
-func init() {
-	// Table 2 column order.
-	RegisterStrategy(FullFeedback, feedbackExplorer{feedbackSpec{useFeedback: true, useTemporal: true}})
-	RegisterStrategy(Exhaustive, QueueFunc(exhaustiveQueue))
-	RegisterStrategy(SiteDistance, feedbackExplorer{feedbackSpec{}})
-	RegisterStrategy(SiteDistanceLimit, feedbackExplorer{feedbackSpec{limited: true}})
-	RegisterStrategy(SiteFeedback, feedbackExplorer{feedbackSpec{useFeedback: true, limited: true}})
-	RegisterStrategy(MultiplyFeedback, feedbackExplorer{feedbackSpec{useFeedback: true, useTemporal: true, multiply: true}})
-	RegisterStrategy(FATE, QueueFunc(fateQueue))
-	RegisterStrategy(CrashTuner, QueueFunc(crashTunerQueue))
-	RegisterStrategy(StackTrace, QueueFunc(stackTraceQueue))
-	RegisterStrategy(Random, QueueFunc(randomQueue))
+// explore runs the prepared search under the options' strategy. An
+// unknown strategy explores nothing and reports the fault space
+// exhausted after zero rounds (callers validate names up front).
+func (e *engine) explore() {
+	for _, row := range strategyTable {
+		if row.name != e.o.Strategy {
+			continue
+		}
+		if row.queue != nil {
+			e.enumerativeLoop(row.queue(e))
+		} else {
+			e.feedbackLoop(row.feedback)
+		}
+		return
+	}
 }
 
 // enumerativeLoop drives the non-feedback strategies of §8.3/§8.4: each
@@ -124,61 +91,79 @@ func (e *engine) enumerativeLoop(queue []inject.Instance) {
 			e.forceCheckpoint(round-1, 1)
 			return
 		}
-		rd := a.rd
 		if a.err != nil {
 			e.recordInconclusive(a, 1)
 			continue
 		}
-		if rd.Injected != nil {
-			e.traceInjected(round, *rd.Injected, a.sat)
+		if a.rd.Injected != nil {
+			e.traceInjected(round, *a.rd.Injected, a.sat)
 			if a.sat {
-				rd.Satisfied = true
-				e.report.RoundLog = append(e.report.RoundLog, *rd)
-				e.report.Rounds = round
-				e.report.Reproduced = true
-				e.report.Script = rd.Injected
-				e.report.ScriptSeed = a.seed
+				e.reproduced(a.rd, a.seed)
 				return
 			}
 		}
-		e.report.RoundLog = append(e.report.RoundLog, *rd)
-		e.report.Rounds = round
+		e.recordRound(a.rd)
 		e.maybeCheckpoint(round, 1)
 	}
 }
 
 // exhaustiveQueue enumerates every instance of every causal-graph site in
-// deterministic order — the §8.3 "exhaustive fault instance" variant. It
-// still benefits from the causal graph (site pruning) but has no dynamic
-// prioritization.
-func exhaustiveQueue(s *Search) []inject.Instance {
-	return s.Candidates()
-}
-
-// fateQueue models FATE's failure-ID exploration: it has no causal graph,
-// so it covers every site exercised by the workload; failure IDs collapse
-// repeated occurrences, so it explores breadth-first across sites (first
-// occurrence of every site, then second of every site, ...).
-func fateQueue(s *Search) []inject.Instance {
-	counts := s.FreeCounts()
-	siteIDs := make([]string, 0, len(counts))
-	maxOcc := 0
-	for site, c := range counts {
-		siteIDs = append(siteIDs, site)
-		if c > maxOcc {
-			maxOcc = c
+// deterministic (site id, occurrence) order — the §8.3 "exhaustive fault
+// instance" variant. It still benefits from the causal graph (site
+// pruning) but has no dynamic prioritization. Pair pseudo-sites are
+// excluded: the enumerative strategies model published single-fault
+// injectors, and a pair candidate needs the feedback loop's pair-plan
+// machinery to execute.
+func exhaustiveQueue(e *engine) []inject.Instance {
+	var out []inject.Instance
+	for _, st := range e.sites {
+		if st.class == inject.ClassPair {
+			continue
+		}
+		for _, inst := range st.instances {
+			out = append(out, candidateFor(st, inst))
 		}
 	}
-	sort.Strings(siteIDs)
+	return out
+}
+
+// freeSites returns the sites the free run reached, sorted: the whole
+// dynamic fault space, including sites the causal graph prunes from the
+// candidate set.
+func (e *engine) freeSites() []string {
+	sites := make([]string, 0, len(e.freeRes.Counts))
+	for site := range e.freeRes.Counts {
+		sites = append(sites, site)
+	}
+	sort.Strings(sites)
+	return sites
+}
+
+// occurrenceMajor lists every free-run occurrence of the given sites
+// breadth-first: the first occurrence of every site, then the second of
+// every site, and so on, so one very hot site does not starve the others.
+func (e *engine) occurrenceMajor(sites []string) []inject.Instance {
+	counts := e.freeRes.Counts
+	maxOcc := 0
+	for _, site := range sites {
+		maxOcc = max(maxOcc, counts[site])
+	}
 	var out []inject.Instance
 	for occ := 1; occ <= maxOcc; occ++ {
-		for _, site := range siteIDs {
+		for _, site := range sites {
 			if counts[site] >= occ {
 				out = append(out, inject.Instance{Site: site, Occurrence: occ})
 			}
 		}
 	}
 	return out
+}
+
+// fateQueue models FATE's failure-ID exploration: it has no causal graph,
+// so it covers every site exercised by the workload; failure IDs collapse
+// repeated occurrences, so it explores breadth-first across sites.
+func fateQueue(e *engine) []inject.Instance {
+	return e.occurrenceMajor(e.freeSites())
 }
 
 // metaInfoTokens approximate CrashTuner's meta-info variables: sites in
@@ -191,10 +176,10 @@ var metaInfoTokens = []string{
 // crashTunerQueue models CrashTuner: inject around meta-info access points
 // only — the first and last occurrences of each matching site (crash-
 // recovery windows), ordered by site.
-func crashTunerQueue(s *Search) []inject.Instance {
-	counts := s.FreeCounts()
-	siteIDs := make([]string, 0, len(counts))
-	for site := range counts {
+func crashTunerQueue(e *engine) []inject.Instance {
+	counts := e.freeRes.Counts
+	var siteIDs []string
+	for _, site := range e.freeSites() {
 		for _, tok := range metaInfoTokens {
 			if strings.Contains(site, tok) {
 				siteIDs = append(siteIDs, site)
@@ -202,7 +187,6 @@ func crashTunerQueue(s *Search) []inject.Instance {
 			}
 		}
 	}
-	sort.Strings(siteIDs)
 	var out []inject.Instance
 	for _, site := range siteIDs {
 		out = append(out, inject.Instance{Site: site, Occurrence: 1})
@@ -223,57 +207,30 @@ func crashTunerQueue(s *Search) []inject.Instance {
 // stackTraceQueue models the stacktrace-injector of §8.4: it extracts the
 // fault sites named in the failure log's error messages (our fault errors
 // render as "Kind at site (occurrence n)", the analog of a logged stack
-// trace) and injects only at those, every occurrence in order.
-func stackTraceQueue(s *Search) []inject.Instance {
-	counts := s.FreeCounts()
-	mentioned := map[string]bool{}
-	for _, entry := range s.FailureLog() {
-		for site := range counts {
+// trace) and injects only at those, every occurrence breadth-first.
+func stackTraceQueue(e *engine) []inject.Instance {
+	var mentioned []string
+	for _, site := range e.freeSites() {
+		for _, entry := range e.t.FailureLog {
 			if strings.Contains(entry.Msg, site) {
-				mentioned[site] = true
+				mentioned = append(mentioned, site)
+				break
 			}
 		}
 	}
-	siteIDs := make([]string, 0, len(mentioned))
-	for site := range mentioned {
-		siteIDs = append(siteIDs, site)
-	}
-	sort.Strings(siteIDs)
-	var out []inject.Instance
-	// Interleave occurrences across the mentioned sites so one very hot
-	// site does not starve the others.
-	maxOcc := 0
-	for _, site := range siteIDs {
-		if counts[site] > maxOcc {
-			maxOcc = counts[site]
-		}
-	}
-	for occ := 1; occ <= maxOcc; occ++ {
-		for _, site := range siteIDs {
-			if counts[site] >= occ {
-				out = append(out, inject.Instance{Site: site, Occurrence: occ})
-			}
-		}
-	}
-	return out
+	return e.occurrenceMajor(mentioned)
 }
 
 // randomQueue models chaos-style random injection over the whole dynamic
 // fault space, without replacement.
-func randomQueue(s *Search) []inject.Instance {
-	counts := s.FreeCounts()
+func randomQueue(e *engine) []inject.Instance {
 	var all []inject.Instance
-	siteIDs := make([]string, 0, len(counts))
-	for site := range counts {
-		siteIDs = append(siteIDs, site)
-	}
-	sort.Strings(siteIDs)
-	for _, site := range siteIDs {
-		for occ := 1; occ <= counts[site]; occ++ {
+	for _, site := range e.freeSites() {
+		for occ := 1; occ <= e.freeRes.Counts[site]; occ++ {
 			all = append(all, inject.Instance{Site: site, Occurrence: occ})
 		}
 	}
-	rng := rand.New(rand.NewSource(s.Options().Seed ^ 0x5eed))
+	rng := rand.New(rand.NewSource(e.o.Seed ^ 0x5eed))
 	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 	return all
 }

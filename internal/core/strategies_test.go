@@ -23,7 +23,7 @@ func stubEngineWithSites() *engine {
 
 func TestExhaustiveQueueOrder(t *testing.T) {
 	e := stubEngineWithSites()
-	q := exhaustiveQueue(&Search{e: e})
+	q := exhaustiveQueue(e)
 	// 6 sites x 3 instances, sites in sorted order, occurrences ascending.
 	if len(q) != 18 {
 		t.Fatalf("queue length: %d", len(q))
@@ -40,8 +40,8 @@ func TestExhaustiveQueueOrder(t *testing.T) {
 
 func TestFATEQueueBreadthFirst(t *testing.T) {
 	e := stubEngineWithSites()
-	free := stubFree(map[string]int{"a.x": 3, "b.y": 1, "c.z": 2})
-	q := fateQueue(&Search{e: e, free: free})
+	e.freeRes = stubFree(map[string]int{"a.x": 3, "b.y": 1, "c.z": 2})
+	q := fateQueue(e)
 	// Pass 1: a.x#1 b.y#1 c.z#1; pass 2: a.x#2 c.z#2; pass 3: a.x#3.
 	want := []inject.Instance{
 		{Site: "a.x", Occurrence: 1}, {Site: "b.y", Occurrence: 1}, {Site: "c.z", Occurrence: 1},
@@ -60,12 +60,12 @@ func TestFATEQueueBreadthFirst(t *testing.T) {
 
 func TestCrashTunerQueueFiltersMetaInfo(t *testing.T) {
 	e := stubEngineWithSites()
-	free := stubFree(map[string]int{
+	e.freeRes = stubFree(map[string]int{
 		"zk.election.accept": 5,
 		"zk.data.write":      9,
 		"dfs.lease.renew":    2,
 	})
-	q := crashTunerQueue(&Search{e: e, free: free})
+	q := crashTunerQueue(e)
 	for _, inst := range q {
 		if inst.Site == "zk.data.write" {
 			t.Fatalf("non-meta-info site in queue: %v", q)
@@ -86,8 +86,8 @@ func TestStackTraceQueueUsesFailureLog(t *testing.T) {
 		{Thread: "w", Level: logging.Error, Msg: "IOError at a.hot during sync"},
 		{Thread: "w", Level: logging.Info, Msg: "unrelated message"},
 	}
-	free := stubFree(map[string]int{"a.hot": 3, "b.cold": 4})
-	q := stackTraceQueue(&Search{e: e, free: free})
+	e.freeRes = stubFree(map[string]int{"a.hot": 3, "b.cold": 4})
+	q := stackTraceQueue(e)
 	if len(q) != 3 {
 		t.Fatalf("queue: %v", q)
 	}
@@ -103,8 +103,8 @@ func TestStackTraceQueueInterleavesSites(t *testing.T) {
 	e.t.FailureLog = []logging.Entry{
 		{Thread: "w", Msg: "faults at a.one and b.two observed"},
 	}
-	free := stubFree(map[string]int{"a.one": 2, "b.two": 2})
-	q := stackTraceQueue(&Search{e: e, free: free})
+	e.freeRes = stubFree(map[string]int{"a.one": 2, "b.two": 2})
+	q := stackTraceQueue(e)
 	// Occurrence-major interleave: a#1 b#1 a#2 b#2.
 	if len(q) != 4 || q[0].Occurrence != 1 || q[1].Occurrence != 1 || q[2].Occurrence != 2 {
 		t.Fatalf("queue: %v", q)
@@ -113,8 +113,8 @@ func TestStackTraceQueueInterleavesSites(t *testing.T) {
 
 func TestRandomQueueIsPermutation(t *testing.T) {
 	e := stubEngineWithSites()
-	free := stubFree(map[string]int{"a.x": 2, "b.y": 3})
-	q := randomQueue(&Search{e: e, free: free})
+	e.freeRes = stubFree(map[string]int{"a.x": 2, "b.y": 3})
+	q := randomQueue(e)
 	if len(q) != 5 {
 		t.Fatalf("queue: %v", q)
 	}
@@ -126,7 +126,7 @@ func TestRandomQueueIsPermutation(t *testing.T) {
 		seen[inst] = true
 	}
 	// Deterministic given the seed.
-	q2 := randomQueue(&Search{e: e, free: free})
+	q2 := randomQueue(e)
 	for i := range q {
 		if q[i] != q2[i] {
 			t.Fatal("random queue not seed-deterministic")

@@ -85,11 +85,6 @@ func Table1FaultSites(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// Table2Strategies is the strategy column order of Table 2: the registry's
-// registration order (built-ins register in Table 2 column order, and any
-// externally registered strategy appends as an extra column).
-func Table2Strategies() []core.Strategy { return core.Strategies() }
-
 // Table2Efficacy reproduces Table 2: rounds and wall time per failure for
 // ANDURIL, its ablation variants, and the comparison systems. "-" means the
 // strategy did not reproduce within the round cap (the paper's 24-hour
@@ -97,7 +92,7 @@ func Table2Strategies() []core.Strategy { return core.Strategies() }
 func Table2Efficacy(opt Options, strategies []core.Strategy) (*Table, error) {
 	opt = opt.withDefaults()
 	if strategies == nil {
-		strategies = Table2Strategies()
+		strategies = core.Strategies()
 	}
 	targets, err := buildTargets(opt.Workers)
 	if err != nil {

@@ -387,7 +387,7 @@ func (r *Runtime) ReachPseudo(site string, amp int) (PseudoFault, bool) {
 	// already a deterministic per-run event index, so the path form is
 	// simply "site#occ" with no context edges.
 	path := ""
-	if r.pathActive() {
+	if r.paths {
 		path = site + "#" + strconv.Itoa(occ)
 	}
 	inject := r.decide(site, occ, path)
@@ -418,20 +418,10 @@ func (c *carried) add(inst Instance) {
 	c.paths = c.paths || inst.Path != ""
 }
 
-// carrier is implemented by the package's plans, which compute what
-// they carry once, at construction.
-type carrier interface{ carries() carried }
-
-// planCarries reports what a plan carries. A plan that does not say is
-// assumed to carry env and partial instances, so a custom plan replays
-// without extra wiring, and to carry paths iff it can match them.
+// planCarries reports what a plan carries; a nil plan carries nothing.
 func planCarries(p Plan) carried {
 	if p == nil {
 		return carried{}
 	}
-	if c, ok := p.(carrier); ok {
-		return c.carries()
-	}
-	_, pd := p.(PathDecider)
-	return carried{classes: SetOf(ClassEnv, ClassPartial), paths: pd}
+	return p.carries()
 }

@@ -38,7 +38,7 @@ func FuzzExactPlan(f *testing.F) {
 		for _, b := range reaches {
 			site, occ := fuzzSite(b), fuzzOcc(b>>3)
 			want := site == target.Site && occ == target.Occurrence
-			if plan.Decide(site, occ) != want || plan.Decide(site, occ) != want {
+			if plan.Decide(site, occ, "") != want || plan.Decide(site, occ, "") != want {
 				t.Fatalf("Exact.Decide(%s,%d) not idempotent or wrong (want %v)", site, occ, want)
 			}
 		}
@@ -86,7 +86,7 @@ func FuzzWindowPlan(f *testing.F) {
 		for _, b := range reaches {
 			site, occ := fuzzSite(b), fuzzOcc(b>>3)
 			want := inWindow[Instance{Site: site, Occurrence: occ}]
-			if plan.Decide(site, occ) != want || plan.Decide(site, occ) != want {
+			if plan.Decide(site, occ, "") != want || plan.Decide(site, occ, "") != want {
 				t.Fatalf("Window.Decide(%s,%d) not idempotent or wrong (want %v)", site, occ, want)
 			}
 		}
@@ -165,7 +165,7 @@ func FuzzEnvPlan(f *testing.F) {
 			for _, site := range []string{fuzzSite(b), fuzzEnvSite(b)} {
 				occ := fuzzOcc(b >> 3)
 				want := inWindow[Instance{Site: site, Occurrence: occ}]
-				if plan.Decide(site, occ) != want || plan.Decide(site, occ) != want {
+				if plan.Decide(site, occ, "") != want || plan.Decide(site, occ, "") != want {
 					t.Fatalf("Decide(%s,%d) not idempotent or wrong (want %v)", site, occ, want)
 				}
 			}
@@ -306,7 +306,7 @@ func FuzzMultiPlan(f *testing.F) {
 
 // FuzzPathPlan mirrors FuzzEnvPlan for the path-addressing layer: a
 // window mixing path- and occurrence-addressed candidates combined with
-// a pair plan must never panic, the pure window's DecidePath must be
+// a pair plan must never panic, the pure window's path-addressed Decide must be
 // idempotent, and a path-enabled runtime must respect the combined
 // budget and record parseable root-context paths for every injection.
 func FuzzPathPlan(f *testing.F) {
@@ -339,21 +339,17 @@ func FuzzPathPlan(f *testing.F) {
 			t.Fatalf("plan carries paths: %v, candidates carry paths: %v", got, carries)
 		}
 
-		// The pure window's path dispatch is idempotent: repeated
-		// consultation with identical arguments agrees.
-		pd, ok := window.(PathDecider)
-		if !ok {
-			t.Fatal("window plan does not implement PathDecider")
-		}
+		// The pure window's path-addressed decision is idempotent:
+		// repeated consultation with identical arguments agrees.
 		probes := map[string]int{}
 		for _, b := range reaches {
 			site := fuzzSite(b)
 			probes[site]++
 			occ := probes[site]
 			path := fmt.Sprintf("%s#%d", site, occ)
-			first := pd.DecidePath(site, occ, path)
-			if pd.DecidePath(site, occ, path) != first {
-				t.Fatalf("window DecidePath(%s) not idempotent", path)
+			first := window.Decide(site, occ, path)
+			if window.Decide(site, occ, path) != first {
+				t.Fatalf("window Decide(%s) not idempotent", path)
 			}
 		}
 
@@ -377,7 +373,7 @@ func FuzzPathPlan(f *testing.F) {
 		// Drive the combined plan through a path-enabled runtime with
 		// root-context paths (nil PathID/PathPrefix hooks).
 		r := NewRuntime(plan)
-		r.PathEnabled = true
+		r.EnablePaths()
 		counts := map[string]int{}
 		seen := map[string]bool{}
 		fired := 0

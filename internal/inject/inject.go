@@ -115,11 +115,19 @@ type Instance struct {
 }
 
 // Plan decides which reaches of fault sites inject a fault during a round.
+// The interface is sealed: the package's constructors (Exact, Window,
+// Multi, PairWindow) build every plan.
 type Plan interface {
-	// Decide is consulted on every reach. Returning true injects a fault at
-	// this exact reach. At most one reach per round injects; the Runtime
-	// stops consulting after the first injection.
-	Decide(site string, occurrence int) bool
+	// Decide is consulted on every reach with the site, the reach's 1-based
+	// occurrence in the run, and its canonical path string ("" unless the
+	// run is path-addressed; see Runtime.PathActive). Returning true
+	// injects a fault at this exact reach. The Runtime stops consulting
+	// once the round's injection budget is spent.
+	Decide(site string, occurrence int, path string) bool
+
+	// carries reports what the plan's candidates address, computed once
+	// at construction.
+	carries() carried
 }
 
 // exactPlan injects at one precise dynamic instance.
@@ -128,14 +136,7 @@ type exactPlan struct {
 	c    carried
 }
 
-func (p exactPlan) Decide(site string, occ int) bool {
-	if p.inst.Path != "" {
-		return false // path-addressed: needs the DecidePath dispatch
-	}
-	return site == p.inst.Site && occ == p.inst.Occurrence
-}
-
-func (p exactPlan) DecidePath(site string, occ int, path string) bool {
+func (p exactPlan) Decide(site string, occ int, path string) bool {
 	if p.inst.Path != "" {
 		return path == p.inst.Path
 	}
@@ -168,12 +169,8 @@ type windowPlan struct {
 	c          carried
 }
 
-func (p windowPlan) Decide(site string, occ int) bool {
-	return p.candidates[Instance{Site: site, Occurrence: occ}]
-}
-
-func (p windowPlan) DecidePath(site string, occ int, path string) bool {
-	if p.byPath[path] {
+func (p windowPlan) Decide(site string, occ int, path string) bool {
+	if path != "" && p.byPath[path] {
 		return true
 	}
 	return p.candidates[Instance{Site: site, Occurrence: occ}]
@@ -259,31 +256,12 @@ func Multi(plans ...Plan) Plan {
 
 func (p *multiPlan) carries() carried { return p.c }
 
-func (p *multiPlan) Decide(site string, occ int) bool {
+func (p *multiPlan) Decide(site string, occ int, path string) bool {
 	for i, sub := range p.plans {
 		if sub == nil || p.fired[i] >= p.budgets[i] {
 			continue
 		}
-		if sub.Decide(site, occ) {
-			p.fired[i]++
-			return true
-		}
-	}
-	return false
-}
-
-func (p *multiPlan) DecidePath(site string, occ int, path string) bool {
-	for i, sub := range p.plans {
-		if sub == nil || p.fired[i] >= p.budgets[i] {
-			continue
-		}
-		hit := false
-		if pd, ok := sub.(PathDecider); ok {
-			hit = pd.DecidePath(site, occ, path)
-		} else {
-			hit = sub.Decide(site, occ)
-		}
-		if hit {
+		if sub.Decide(site, occ, path) {
 			p.fired[i]++
 			return true
 		}
@@ -327,8 +305,7 @@ type Runtime struct {
 	PathID     func() int32
 	PathPrefix func(int32) string
 
-	plan     Plan
-	pathPlan PathDecider // plan's path dispatch, asserted once at creation
+	plan Plan
 
 	sites      map[string]*siteRec
 	pathCounts map[pathSiteKey]int // per-(path context, site) occurrence counters
@@ -349,17 +326,14 @@ type Runtime struct {
 	// runs keep byte-identical traces and occurrence counts.
 	active ClassSet
 
-	// PathEnabled opts the run into path-sensitive addressing: every
+	// paths turns on path-sensitive addressing (see PathActive): every
 	// reach is assigned a canonical PathAddr string built from the PathID/
-	// PathPrefix hooks, and plans implementing PathDecider are dispatched
-	// through DecidePath. When false — the default — no per-reach path
-	// bookkeeping happens, so occurrence-mode runs stay byte-identical.
-	PathEnabled bool
-
-	// pathAuto force-activates path addressing when the plan itself
+	// PathPrefix hooks and handed to the plan. It is on when the plan
 	// carries path-addressed instances, so replaying a path reproduction
-	// script needs no flag.
-	pathAuto bool
+	// script needs no option, or once the harness calls EnablePaths. Off —
+	// the default — no per-reach path bookkeeping happens, so
+	// occurrence-mode runs stay byte-identical.
+	paths bool
 }
 
 // pathSiteKey keys the per-context occurrence counters of path mode.
@@ -377,16 +351,14 @@ func NewRuntime(plan Plan) *Runtime {
 	if b, ok := plan.(Budgeter); ok {
 		budget = b.Budget()
 	}
-	pd, _ := plan.(PathDecider)
 	c := planCarries(plan)
 	return &Runtime{
 		plan:      plan,
-		pathPlan:  pd,
 		budget:    budget,
 		sites:     make(map[string]*siteRec),
 		KeepTrace: true,
 		active:    c.classes,
-		pathAuto:  c.paths,
+		paths:     c.paths,
 	}
 }
 
@@ -409,12 +381,14 @@ func (r *Runtime) site(site string) *siteRec {
 	return rec
 }
 
-// pathActive reports whether path-sensitive addressing is on this run.
-func (r *Runtime) pathActive() bool { return r.PathEnabled || r.pathAuto }
+// PathActive reports whether path-sensitive addressing is on this run.
+// The harness layers that extend call paths on message sends skip all
+// path bookkeeping when it is off.
+func (r *Runtime) PathActive() bool { return r.paths }
 
-// PathActive exposes pathActive to the harness layers that extend call
-// paths on message sends; when false they skip all path bookkeeping.
-func (r *Runtime) PathActive() bool { return r.pathActive() }
+// EnablePaths opts the run into path-sensitive addressing. A plan whose
+// candidates are path-addressed enables it on its own.
+func (r *Runtime) EnablePaths() { r.paths = true }
 
 // pathFor builds the canonical path string of the current reach of a
 // site and advances the per-(context, site) occurrence counter.
@@ -448,12 +422,7 @@ func (r *Runtime) decide(site string, occ int, path string) bool {
 		return false
 	}
 	start := time.Now()
-	var inject bool
-	if r.pathPlan != nil && r.pathActive() {
-		inject = r.pathPlan.DecidePath(site, occ, path)
-	} else {
-		inject = r.plan.Decide(site, occ)
-	}
+	inject := r.plan.Decide(site, occ, path)
 	r.decNanos += time.Since(start).Nanoseconds()
 	r.decisions++
 	return inject
@@ -503,7 +472,7 @@ func (r *Runtime) Reach(site string, kind Kind) error {
 	occ := rec.count
 
 	path := ""
-	if r.pathActive() {
+	if r.paths {
 		path = r.pathFor(site)
 	}
 	inject := r.decide(site, occ, path)

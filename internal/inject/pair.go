@@ -120,7 +120,8 @@ func matchMember(m Instance, site string, occ int, path string) bool {
 	return m.Site == site && m.Occurrence == occ
 }
 
-func (p *PairPlan) decide(site string, occ int, path string) bool {
+// Decide implements Plan.
+func (p *PairPlan) Decide(site string, occ int, path string) bool {
 	if p.committed >= 0 {
 		pr := &p.pairs[p.committed]
 		for i := 0; i < 2; i++ {
@@ -141,14 +142,6 @@ func (p *PairPlan) decide(site string, occ int, path string) bool {
 		}
 	}
 	return false
-}
-
-// Decide implements Plan for occurrence-addressed members.
-func (p *PairPlan) Decide(site string, occ int) bool { return p.decide(site, occ, "") }
-
-// DecidePath implements PathDecider for path-addressed members.
-func (p *PairPlan) DecidePath(site string, occ int, path string) bool {
-	return p.decide(site, occ, path)
 }
 
 // Budget implements Budgeter: a pair round injects up to two faults.

@@ -71,7 +71,7 @@ func FuzzPartialPlan(f *testing.F) {
 		for _, b := range candBytes {
 			for _, site := range []string{fmt.Sprintf("d.s%d", b%3), fuzzPartialSite(b)} {
 				occ := int(b>>3)%8 + 1
-				if plan.Decide(site, occ) != plan.Decide(site, occ) {
+				if plan.Decide(site, occ, "") != plan.Decide(site, occ, "") {
 					t.Fatalf("Decide(%s,%d) not idempotent", site, occ)
 				}
 			}

@@ -118,10 +118,12 @@ type countingPlan struct {
 	target Instance
 }
 
-func (p *countingPlan) Decide(site string, occ int) bool {
+func (p *countingPlan) Decide(site string, occ int, path string) bool {
 	p.calls++
 	return site == p.target.Site && occ == p.target.Occurrence
 }
+
+func (p *countingPlan) carries() carried { return carried{} }
 
 // TestUniformDecideShortCircuit: one Decide stream per round, shared by
 // error sites and env pseudo-sites. Once the budget is spent on either
@@ -187,28 +189,28 @@ func TestPairPlanCommitAndReset(t *testing.T) {
 		t.Fatal("committed before any member fired")
 	}
 	// b.y#1 is a member of the second pair only.
-	if !p.Decide("b.y", 1) {
+	if !p.Decide("b.y", 1, "") {
 		t.Fatal("first member of pair 1 did not fire")
 	}
 	if idx, ok := p.Committed(); !ok || idx != 1 {
 		t.Fatalf("Committed()=(%d,%v), want (1,true)", idx, ok)
 	}
 	// Members of the uncommitted pair are dead now.
-	if p.Decide("a.x", 1) || p.Decide("b.y", 2) {
+	if p.Decide("a.x", 1, "") || p.Decide("b.y", 2, "") {
 		t.Fatal("member of an uncommitted pair fired after commit")
 	}
 	// The committed member does not fire twice.
-	if p.Decide("b.y", 1) {
+	if p.Decide("b.y", 1, "") {
 		t.Fatal("same member fired twice")
 	}
-	if !p.Decide("c.z", 1) {
+	if !p.Decide("c.z", 1, "") {
 		t.Fatal("other member of the committed pair did not fire")
 	}
 	p.Reset()
 	if _, ok := p.Committed(); ok {
 		t.Fatal("Reset did not uncommit")
 	}
-	if !p.Decide("a.x", 1) {
+	if !p.Decide("a.x", 1, "") {
 		t.Fatal("after Reset the first pair cannot commit")
 	}
 }

@@ -21,7 +21,8 @@ import (
 //	                        wall-clock-normalized comparison form
 //	GET  /jobs/{key}/trace  trace JSONL; ?follow=1 streams live events
 //	                        until the job finishes
-//	GET  /healthz           liveness: 200 once the journal is open
+//	GET  /healthz           liveness: 200 once the journal is open, with
+//	                        the count of quarantined job records
 //	GET  /readyz            readiness: 200 accepting, 503 draining
 type submitResponse struct {
 	Job     Job  `json:"job"`
@@ -37,7 +38,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /jobs/{key}/report", s.handleReport)
 	mux.HandleFunc("GET /jobs/{key}/trace", s.handleTrace)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		// Every value is a string, so clients decode the body as a
+		// string map.
+		writeJSON(w, http.StatusOK, map[string]string{
+			"status": "ok", "quarantined": strconv.Itoa(s.journal.Quarantined()),
+		})
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		if !s.Ready() {

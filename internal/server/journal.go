@@ -2,10 +2,13 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 
 	"anduril/internal/checkpoint"
@@ -40,35 +43,103 @@ type Journal struct {
 
 	mu   sync.Mutex
 	jobs map[string]*Job
+
+	quarantined int // records under <data>/quarantine at open
+}
+
+// Quarantined is an acknowledged job whose record OpenJournal could not
+// read: its directory was moved out of the job table to Dir.
+type Quarantined struct {
+	Key string // the job directory's name
+	Dir string // where the directory now lives
+	Err error  // why the record could not be read
 }
 
 // OpenJournal loads (creating if necessary) the job table under dataDir.
-// Job directories whose record is missing or unreadable are skipped and
-// reported in skipped: the only way to produce one is dying between
-// MkdirAll and the first record write, before the submission was ever
-// acknowledged, so ignoring it loses nothing a client was promised.
-func OpenJournal(dataDir string) (j *Journal, skipped []string, err error) {
+//
+// A job directory without a record is skipped and reported in skipped:
+// the only way to produce one is dying between MkdirAll and the first
+// record write, before the submission was ever acknowledged, so ignoring
+// it loses nothing a client was promised. A directory whose record exists
+// but is corrupt or names another key held an acknowledged job; it is
+// moved to <dataDir>/quarantine/<key> (both parent directories fsynced)
+// and reported in quarantined, never dropped silently; Quarantined counts
+// it for as long as it stays there.
+func OpenJournal(dataDir string) (j *Journal, skipped []string, quarantined []Quarantined, err error) {
 	dir := filepath.Join(dataDir, "jobs")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("server: open journal: %w", err)
+		return nil, nil, nil, fmt.Errorf("server: open journal: %w", err)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, fmt.Errorf("server: open journal: %w", err)
+		return nil, nil, nil, fmt.Errorf("server: open journal: %w", err)
 	}
 	j = &Journal{dir: dir, jobs: map[string]*Job{}}
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue
 		}
-		job, err := readJob(filepath.Join(dir, e.Name(), jobFile))
-		if err != nil || job.Key != e.Name() {
+		path := filepath.Join(dir, e.Name(), jobFile)
+		if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
 			skipped = append(skipped, e.Name())
+			continue
+		}
+		job, err := readJob(path)
+		if err == nil && job.Key != e.Name() {
+			err = fmt.Errorf("server: %s names job %s", path, job.Key)
+		}
+		if err != nil {
+			dst, qerr := quarantine(dataDir, e.Name())
+			if qerr != nil {
+				return nil, nil, nil, fmt.Errorf("server: quarantine job %s (%v): %w", e.Name(), err, qerr)
+			}
+			quarantined = append(quarantined, Quarantined{Key: e.Name(), Dir: dst, Err: err})
 			continue
 		}
 		j.jobs[job.Key] = job
 	}
-	return j, skipped, nil
+	// Count every quarantined record, this open's and earlier ones': each
+	// waits on an operator, and a restart must not hide it.
+	if qs, err := os.ReadDir(filepath.Join(dataDir, "quarantine")); err == nil {
+		j.quarantined = len(qs)
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		return nil, nil, nil, fmt.Errorf("server: open journal: %w", err)
+	}
+	return j, skipped, quarantined, nil
+}
+
+// Quarantined returns how many job records sat in quarantine when the
+// journal was opened.
+func (j *Journal) Quarantined() int { return j.quarantined }
+
+// quarantine moves <dataDir>/jobs/<key> to <dataDir>/quarantine/<key>
+// (suffixed .1, .2, ... when an earlier quarantine took the name) and
+// fsyncs the directories whose entries changed, so the move survives
+// power loss.
+func quarantine(dataDir, key string) (string, error) {
+	jobs := filepath.Join(dataDir, "jobs")
+	qdir := filepath.Join(dataDir, "quarantine")
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		return "", err
+	}
+	dst := filepath.Join(qdir, key)
+	for n := 1; ; n++ {
+		if _, err := os.Lstat(dst); errors.Is(err, fs.ErrNotExist) {
+			break
+		} else if err != nil {
+			return "", err
+		}
+		dst = filepath.Join(qdir, key+"."+strconv.Itoa(n))
+	}
+	if err := os.Rename(filepath.Join(jobs, key), dst); err != nil {
+		return "", err
+	}
+	for _, d := range []string{jobs, qdir, dataDir} {
+		if err := checkpoint.SyncDir(d); err != nil {
+			return "", err
+		}
+	}
+	return dst, nil
 }
 
 // readJob loads one job record envelope.

@@ -144,12 +144,15 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("server: DataDir required")
 	}
-	journal, skipped, err := OpenJournal(cfg.DataDir)
+	journal, skipped, quarantined, err := OpenJournal(cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}
 	for _, key := range skipped {
-		cfg.Logf("server: skipping unreadable job dir %s (died before first record write)", key)
+		cfg.Logf("server: skipping job dir %s without a record (died before first record write)", key)
+	}
+	for _, q := range quarantined {
+		cfg.Logf("server: quarantined job %s to %s: %v", q.Key, q.Dir, q.Err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{cfg: cfg, journal: journal, ctx: ctx, cancel: cancel, wals: map[string]*traceWAL{}}

@@ -119,7 +119,7 @@ func (sp Spec) Validate() error {
 	if _, ok := failures.ByID(sp.Failure); !ok {
 		return fmt.Errorf("spec: unknown failure %q", sp.Failure)
 	}
-	if !core.StrategyRegistered(core.Strategy(sp.Strategy)) {
+	if !core.ValidStrategy(sp.Strategy) {
 		return fmt.Errorf("spec: unknown strategy %q", sp.Strategy)
 	}
 	if sp.MaxRounds <= 0 {
